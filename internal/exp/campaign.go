@@ -25,15 +25,13 @@ func RunFigureSet(figs []FigureSpec, o Options, onDone func(FigureSpec, []Sweep)
 		onDone(f, s)
 	}
 
-	// Split cached from pending first, so an auto shard request resolves
-	// against the true parallelism of the work that will actually run.
+	// Emit cached figures first; only the rest run.
 	type pending struct {
 		i   int
 		f   FigureSpec
 		key string
 	}
 	var todo []pending
-	leaves := 0
 	for i, f := range figs {
 		key := cacheKey(f, o)
 		sweepMu.Lock()
@@ -44,17 +42,15 @@ func RunFigureSet(figs []FigureSpec, o Options, onDone func(FigureSpec, []Sweep)
 			continue
 		}
 		todo = append(todo, pending{i, f, key})
-		leaves += figureLeaves(f, o)
 	}
-	ro := o.resolveShards(leaves)
-	sem := make(chan struct{}, ro.workers())
+	sem := make(chan struct{}, o.workers())
 	errs := make([]error, len(figs))
 	var wg sync.WaitGroup
 	for _, p := range todo {
 		wg.Add(1)
 		go func(p pending) {
 			defer wg.Done()
-			sweeps, err := runFigure(p.f, ro, sem)
+			sweeps, err := runFigure(p.f, o, sem)
 			if err != nil {
 				errs[p.i] = err
 				return

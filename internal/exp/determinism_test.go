@@ -56,44 +56,6 @@ func TestParallelFigureDeterminism(t *testing.T) {
 	}
 }
 
-// TestRouteTableFigureDeterminism: compiled route tables must be
-// invisible in the results too. The same figure sweep with tables on
-// (the default) and off must agree byte for byte, as raw Sweep values
-// and as rendered figure output. The cache key includes the flag, so
-// both runs genuinely simulate.
-func TestRouteTableFigureDeterminism(t *testing.T) {
-	f, ok := FigureByID("fig13")
-	if !ok {
-		t.Fatal("fig13 spec missing")
-	}
-	base := Options{Quick: true, Seed: 7, Warmup: 1000, Measure: 3000}
-
-	tables := base
-	direct := base
-	direct.DisableRouteTables = true
-	if cacheKey(f, tables) == cacheKey(f, direct) {
-		t.Fatal("cache key must distinguish the route-table flag")
-	}
-
-	sweepsTab, err := runFigure(f, tables, make(chan struct{}, tables.workers()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepsDir, err := runFigure(f, direct, make(chan struct{}, direct.workers()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sweepsTab, sweepsDir) {
-		t.Fatalf("route-table sweep results diverge from direct evaluation:\ntables: %+v\ndirect: %+v", sweepsTab, sweepsDir)
-	}
-	var bufTab, bufDir bytes.Buffer
-	WriteFigure(&bufTab, f, sweepsTab)
-	WriteFigure(&bufDir, f, sweepsDir)
-	if !bytes.Equal(bufTab.Bytes(), bufDir.Bytes()) {
-		t.Fatal("rendered figure output differs between route-table modes")
-	}
-}
-
 // sweepCacheReset clears any cache entry for (f, o) so the next run
 // actually simulates.
 func sweepCacheReset(t *testing.T, f FigureSpec, o Options) {

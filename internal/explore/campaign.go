@@ -50,9 +50,10 @@ type Campaign struct {
 	// column (nil means 6x6). It is separate from the simulation mesh:
 	// exhaustive path counting is exponential-ish in mesh size.
 	AdaptDims []int
-	// StopAfter, when positive, cancels the run after that many figures
-	// have completed and been logged — the kill half of the
-	// kill-and-resume contract, used by tests and demos.
+	// StopAfter, when positive, runs and logs at most that many of the
+	// figures missing from the log, then returns exp.ErrCanceled if any
+	// remain — the kill half of the kill-and-resume contract, used by
+	// tests and demos.
 	StopAfter int
 	// Verbose, when non-nil, receives one line per completed figure.
 	Verbose io.Writer
@@ -206,8 +207,8 @@ func record(key string, f exp.FigureSpec, sweeps []exp.Sweep) Record {
 
 // Run executes the campaign: self-check, resume from the log, sweep
 // the missing figures, and (when every figure has a record) render the
-// leaderboard. A run canceled by Opts.Cancel or StopAfter returns
-// exp.ErrCanceled after checkpointing everything that completed.
+// leaderboard. A run canceled by Opts.Cancel or cut short by StopAfter
+// returns exp.ErrCanceled after checkpointing everything that completed.
 func (c *Campaign) Run() error {
 	if err := c.Screen.SelfCheck(); err != nil {
 		return err
@@ -230,9 +231,17 @@ func (c *Campaign) Run() error {
 			todo = append(todo, f)
 		}
 	}
+	logged := len(specs) - len(todo)
 	if c.Verbose != nil {
 		fmt.Fprintf(c.Verbose, "turnscan: %d figures (%d checkpointed, %d to run)\n",
-			len(specs), len(specs)-len(todo), len(todo))
+			len(specs), logged, len(todo))
+	}
+	// StopAfter cuts the batch up front. Canceling once enough figures
+	// finish would race the figures still running, which can all
+	// complete before they see the cancel.
+	cut := c.StopAfter > 0 && len(todo) > c.StopAfter
+	if cut {
+		todo = todo[:c.StopAfter]
 	}
 	if len(todo) > 0 {
 		logf, err := os.OpenFile(c.LogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -240,10 +249,7 @@ func (c *Campaign) Run() error {
 			return err
 		}
 		defer logf.Close()
-		stop := make(chan struct{})
-		o.Cancel = mergeCancel(c.Opts.Cancel, stop)
 		completed := 0
-		stopped := false
 		runErr := exp.RunFigureSet(todo, o, func(f exp.FigureSpec, sweeps []exp.Sweep) {
 			r := record(exp.CacheKey(f, o), f, sweeps)
 			b, err := json.Marshal(r)
@@ -256,16 +262,15 @@ func (c *Campaign) Run() error {
 			done[r.CacheKey] = r
 			completed++
 			if c.Verbose != nil {
-				fmt.Fprintf(c.Verbose, "turnscan: %s done (%d/%d)\n", f.ID, len(specs)-len(todo)+completed, len(specs))
-			}
-			if c.StopAfter > 0 && completed >= c.StopAfter && !stopped {
-				stopped = true
-				close(stop)
+				fmt.Fprintf(c.Verbose, "turnscan: %s done (%d/%d)\n", f.ID, logged+completed, len(specs))
 			}
 		})
 		if runErr != nil {
 			return runErr
 		}
+	}
+	if cut {
+		return exp.ErrCanceled
 	}
 	for _, f := range specs {
 		if _, ok := done[exp.CacheKey(f, o)]; !ok {
@@ -280,22 +285,6 @@ func (c *Campaign) Run() error {
 		return os.WriteFile(c.OutPath, []byte(buf.String()), 0o644)
 	}
 	return nil
-}
-
-// mergeCancel returns a channel closed when either input closes.
-func mergeCancel(a, b <-chan struct{}) <-chan struct{} {
-	if a == nil {
-		return b
-	}
-	out := make(chan struct{})
-	go func() {
-		select {
-		case <-a:
-		case <-b:
-		}
-		close(out)
-	}()
-	return out
 }
 
 // adaptivity computes the deterministic adaptivity-degree column: the

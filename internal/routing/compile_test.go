@@ -7,11 +7,29 @@ import (
 	"turnmodel/internal/topology"
 )
 
-// directCands is the reference the compiled table must match: one
-// CandidatesVC evaluation pushed through the same filter the simulator
-// applies per packet.
+// directCands is the oracle the compiled table must match, written
+// independently of the compiler: one CandidatesVC evaluation filtered
+// exactly as the simulator's direct-evaluation fallback filters it —
+// virtual channel in range, channel existing and enabled — with the
+// output index spelled out from the simulator's port layout and
+// profitability from the topology's distances.
 func directCands(alg VCAlgorithm, cur, dst topology.NodeID, in VCInPort) []Candidate {
-	out, _ := compileCands(alg, alg.Topology(), cur, dst, in, alg.NumVCs(), nil, nil)
+	t := alg.Topology()
+	vcs := alg.NumVCs()
+	vport := 2*t.NumDims()*vcs + 1
+	var out []Candidate
+	for _, vd := range alg.CandidatesVC(cur, dst, in, nil) {
+		if vd.VC < 0 || vd.VC >= vcs || !t.HasChannel(cur, vd.Dir) || !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
+			continue
+		}
+		next, _ := t.Neighbor(cur, vd.Dir)
+		out = append(out, Candidate{
+			Out:  int32(int(cur)*vport + vd.Dir.Index()*vcs + vd.VC),
+			Dir:  uint8(vd.Dir.Index()),
+			VC:   uint8(vd.VC),
+			Prof: t.Distance(next, dst) < t.Distance(cur, dst),
+		})
+	}
 	return out
 }
 
@@ -31,13 +49,92 @@ func arrivalPorts(t *topology.Topology, cur topology.NodeID, vcs int) []VCInPort
 	return ports
 }
 
+// checkTable compares tab against the direct oracle for every (node,
+// destination, arrival) tuple: the injected lookup against an injected
+// evaluation, and the arrived lookup against an evaluation at every
+// port a packet can arrive on.
+func checkTable(t *testing.T, alg VCAlgorithm, tab *Table) {
+	t.Helper()
+	topo := alg.Topology()
+	n := topo.Nodes()
+	for cur := topology.NodeID(0); cur < topology.NodeID(n); cur++ {
+		for dst := topology.NodeID(0); dst < topology.NodeID(n); dst++ {
+			if cur == dst {
+				continue
+			}
+			want := directCands(alg, cur, dst, VCInjected)
+			if got := tab.Lookup(cur, dst, true); !candsEqual(got, want) {
+				t.Fatalf("%s: injected lookup %d->%d = %v, want %v", alg.Name(), cur, dst, got, want)
+			}
+			arr := tab.Lookup(cur, dst, false)
+			for _, in := range arrivalPorts(topo, cur, alg.NumVCs()) {
+				want := directCands(alg, cur, dst, in)
+				if !candsEqual(arr, want) {
+					t.Fatalf("%s: arrived lookup %d->%d via %v = %v, want %v", alg.Name(), cur, dst, in, arr, want)
+				}
+			}
+		}
+	}
+}
+
+// firstDirVC restricts injected headers to one first-hop direction
+// whenever the inner relation offers it, as a scripted message's
+// FirstDir does; arrived headers see the inner relation unchanged.
+type firstDirVC struct {
+	inner VCAlgorithm
+	dir   topology.Direction
+}
+
+func (f firstDirVC) Name() string                 { return "first-dir-" + f.inner.Name() }
+func (f firstDirVC) Topology() *topology.Topology { return f.inner.Topology() }
+func (f firstDirVC) NumVCs() int                  { return f.inner.NumVCs() }
+func (f firstDirVC) CandidatesVC(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection) []VirtualDirection {
+	start := len(buf)
+	buf = f.inner.CandidatesVC(cur, dst, in, buf)
+	if !in.Injected {
+		return buf
+	}
+	kept := buf[start:start]
+	for _, vd := range buf[start:] {
+		if vd.Dir == f.dir {
+			kept = append(kept, vd)
+		}
+	}
+	if len(kept) == 0 {
+		return buf
+	}
+	return buf[:start+len(kept)]
+}
+
+// detourVC is a misrouting relation: every direction is offered, so
+// most candidates are unprofitable detours, and it also names
+// directions off the mesh edge and a virtual channel out of range,
+// which the filter must drop.
+type detourVC struct{ t *topology.Topology }
+
+func (d detourVC) Name() string                 { return "detour" }
+func (d detourVC) Topology() *topology.Topology { return d.t }
+func (d detourVC) NumVCs() int                  { return 1 }
+func (d detourVC) CandidatesVC(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection) []VirtualDirection {
+	for di := 0; di < 2*d.t.NumDims(); di++ {
+		buf = append(buf, VirtualDirection{Dir: topology.DirectionFromIndex(di)})
+	}
+	return append(buf, VirtualDirection{Dir: topology.DirectionFromIndex(0), VC: 1})
+}
+
 // TestCompileMatchesDirect: for every built-in relation, topology pair
 // and arrival port, Table.Lookup returns exactly the filtered list a
-// direct evaluation produces.
+// direct evaluation produces. Beyond the registry relations it covers
+// an injected-only first-hop restriction (the shape of a scripted
+// FirstDir) and a misrouting relation whose profitability bits vary.
+// The "faults" subtests disable channels, let TableFor recompile at
+// the new fault epoch, and compare again, then once more after the
+// repair.
 func TestCompileMatchesDirect(t *testing.T) {
 	mesh := topology.NewMesh(5, 4)
 	cube := topology.NewHypercube(4)
 	torus := topology.NewTorus(5, 2)
+	north := topology.Direction{Dim: 1, Pos: true}
 	algs := []VCAlgorithm{
 		AsVC(NewDimensionOrder(mesh)),
 		AsVC(NewWestFirst(mesh)),
@@ -50,6 +147,8 @@ func TestCompileMatchesDirect(t *testing.T) {
 		AsVC(NewWrapFirstHop(NewNegativeFirst(torus))),
 		AsVC(NewNegativeFirstTorus(torus)),
 		NewDoubleY(mesh),
+		firstDirVC{AsVC(NewFullyAdaptive(mesh)), north},
+		detourVC{mesh},
 	}
 	for _, alg := range algs {
 		tab, err := Compile(alg)
@@ -57,26 +156,49 @@ func TestCompileMatchesDirect(t *testing.T) {
 			t.Errorf("%s: compile failed: %v", alg.Name(), err)
 			continue
 		}
-		topo := alg.Topology()
-		n := topo.Nodes()
-		for cur := topology.NodeID(0); cur < topology.NodeID(n); cur++ {
-			for dst := topology.NodeID(0); dst < topology.NodeID(n); dst++ {
-				if cur == dst {
-					continue
-				}
-				want := directCands(alg, cur, dst, VCInjected)
-				if got := tab.Lookup(cur, dst, true); !candsEqual(got, want) {
-					t.Fatalf("%s: injected lookup %d->%d = %v, want %v", alg.Name(), cur, dst, got, want)
-				}
-				arr := tab.Lookup(cur, dst, false)
-				for _, in := range arrivalPorts(topo, cur, alg.NumVCs()) {
-					want := directCands(alg, cur, dst, in)
-					if !candsEqual(arr, want) {
-						t.Fatalf("%s: arrived lookup %d->%d via %v = %v, want %v", alg.Name(), cur, dst, in, arr, want)
-					}
-				}
+		checkTable(t, alg, tab)
+	}
+
+	for _, tc := range []struct {
+		name string
+		mk   func() VCAlgorithm
+	}{
+		{"negative-first-mesh", func() VCAlgorithm { return AsVC(NewNegativeFirst(topology.NewMesh(5, 4))) }},
+		{"fully-adaptive-mesh", func() VCAlgorithm { return AsVC(NewFullyAdaptive(topology.NewMesh(5, 4))) }},
+		{"dateline-torus-vc", func() VCAlgorithm { return NewDatelineDOR(topology.NewTorus(5, 2)) }},
+		{"first-dir", func() VCAlgorithm { return firstDirVC{AsVC(NewFullyAdaptive(topology.NewMesh(5, 4))), north} }},
+		{"detour", func() VCAlgorithm { return detourVC{topology.NewMesh(5, 4)} }},
+	} {
+		t.Run("faults/"+tc.name, func(t *testing.T) {
+			alg := tc.mk()
+			topo := alg.Topology()
+			before := TableFor(alg)
+			if before == nil {
+				t.Fatalf("%s: TableFor declined a compilable relation", alg.Name())
 			}
-		}
+			mid := topo.ID(topology.Coord{2, 1})
+			broken := []topology.Channel{
+				{From: mid, Dir: topology.Direction{Dim: 0, Pos: true}},
+				{From: mid, Dir: north},
+				{From: topo.ID(topology.Coord{0, 0}), Dir: north},
+			}
+			for _, ch := range broken {
+				topo.DisableChannel(ch)
+			}
+			faulty := TableFor(alg)
+			if faulty == nil || faulty == before || faulty.Epoch() != topo.FaultEpoch() {
+				t.Fatalf("%s: no recompile at fault epoch %d", alg.Name(), topo.FaultEpoch())
+			}
+			checkTable(t, alg, faulty)
+			for _, ch := range broken {
+				topo.EnableChannel(ch)
+			}
+			healed := TableFor(alg)
+			if healed == nil || healed == faulty || healed.Epoch() != topo.FaultEpoch() {
+				t.Fatalf("%s: no recompile after the repair", alg.Name())
+			}
+			checkTable(t, alg, healed)
+		})
 	}
 }
 

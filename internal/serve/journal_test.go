@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -172,6 +174,74 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	}
 	if got := getBody(t, ts, "/v1/jobs/"+j.ID+"/result"); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("re-run result differs from uninterrupted render:\ngot:  %s\nwant: %s", got, want.Bytes())
+	}
+}
+
+// TestJournalReplayParentFormat: a journal written before the
+// engine-sharding and route-table knobs left the request schema still
+// replays. Its entries carry those fields in the request and the old
+// content addresses, which keyed opt:Shards and opt:DisableRouteTables.
+// A queued submit whose request asks for shards=2 re-runs serially,
+// without panicking, to the bytes a fresh serial job produces, and a
+// done entry is still served under its stored ID.
+func TestJournalReplayParentFormat(t *testing.T) {
+	oldKey := func(seed int64, shards int) string {
+		return fmt.Sprintf(`{"figure":"fig13","opt:DisableRouteTables":false,"opt:Loads":[0.5],"opt:Measure":500,`+
+			`"opt:MetricsDir":false,"opt:MetricsInterval":0,"opt:Quick":true,"opt:Seed":%d,"opt:Shards":%d,"opt:Warmup":200}`, seed, shards)
+	}
+	oldReq := func(seed int64) string {
+		return fmt.Sprintf(`{"figure":"fig13","quick":true,"seed":%d,"loads":[0.5],"warmup_cycles":200,"measure_cycles":500,"shards":2}`, seed)
+	}
+	entry := func(v map[string]any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	stamp := time.Now().UTC().Format(time.RFC3339Nano)
+	queuedKey, doneKey := oldKey(2005, 2), oldKey(2006, 2)
+	queuedID, doneID := jobID(queuedKey), jobID(doneKey)
+	const storedResult = "{\"figure\":\"fig13\",\"stored\":true}\n"
+	journal := entry(map[string]any{"type": "submit", "id": queuedID, "req": json.RawMessage(oldReq(2005)), "key": queuedKey, "time": stamp}) +
+		entry(map[string]any{"type": "submit", "id": doneID, "req": json.RawMessage(oldReq(2006)), "key": doneKey, "time": stamp}) +
+		entry(map[string]any{"type": "start", "id": doneID, "attempt": 1}) +
+		entry(map[string]any{"type": "done", "id": doneID, "result": storedResult})
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store := newTestStore(t, journalCfg(path))
+	ts := httptest.NewServer(NewServer(store, nil, nil))
+	defer ts.Close()
+
+	st := waitState(t, ts, queuedID, StateDone, StatePoisoned, StateFailed)
+	if st.State != StateDone || !st.Replayed {
+		t.Fatalf("replayed parent-format job = %+v, want a replayed done job", st)
+	}
+	replayed := getBody(t, ts, "/v1/jobs/"+queuedID+"/result")
+
+	// A fresh serial submission of the same figure has a new content
+	// address but must produce byte-identical figure JSON.
+	fresh := quickReq(2005)
+	sr, resp := postJob(t, ts, fresh)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fresh submit status = %d", resp.StatusCode)
+	}
+	if sr.ID == queuedID {
+		t.Errorf("fresh submit reused the parent-format content address %s", sr.ID)
+	}
+	waitState(t, ts, sr.ID, StateDone)
+	if want := getBody(t, ts, sr.ResultURL); !bytes.Equal(replayed, want) {
+		t.Errorf("replayed shards=2 job differs from a fresh serial job:\nreplayed: %s\nfresh:    %s", replayed, want)
+	}
+
+	if st := waitState(t, ts, doneID, StateDone); !st.Replayed || st.LeavesRun != 0 {
+		t.Errorf("parent-format done job = %+v, want replayed with no leaves run", st)
+	}
+	if got := getBody(t, ts, "/v1/jobs/"+doneID+"/result"); string(got) != storedResult {
+		t.Errorf("parent-format done result = %q, want the stored %q", got, storedResult)
 	}
 }
 

@@ -372,6 +372,35 @@ func TestBadRequests(t *testing.T) {
 	waitState(t, ts, pending.ID, StateCanceled)
 }
 
+// TestRemovedKnobsRejected: the request schema no longer carries the
+// engine-sharding and route-table knobs, so a body that still sets
+// either is a 400 naming the unknown field rather than a job.
+func TestRemovedKnobsRejected(t *testing.T) {
+	store := newTestStore(t, Config{})
+	ts := httptest.NewServer(NewServer(store, nil, nil))
+	defer ts.Close()
+	for _, tc := range []struct{ field, body string }{
+		{"shards", `{"figure":"fig13","quick":true,"shards":2}`},
+		{"disable_route_tables", `{"figure":"fig13","quick":true,"disable_route_tables":true}`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.field, resp.StatusCode)
+		}
+		if want := `unknown field \"` + tc.field + `\"`; !strings.Contains(string(body), want) {
+			t.Errorf("%s: error body %s does not name the field", tc.field, body)
+		}
+	}
+	if n := len(store.Jobs()); n != 0 {
+		t.Errorf("rejected bodies admitted %d jobs", n)
+	}
+}
+
 // TestStoreClose: Close cancels everything, further submissions are
 // refused, and Close is idempotent.
 func TestStoreClose(t *testing.T) {

@@ -40,9 +40,8 @@ type Config struct {
 	// serially maximizes per-job latency without idling the machine.
 	Jobs int
 	// Workers is the total leaf-simulation concurrency budget shared by
-	// all running jobs (each job gets Workers/Jobs, and internal/exp
-	// further clamps Workers x Shards to GOMAXPROCS). Default
-	// GOMAXPROCS.
+	// all running jobs: each job runs up to Workers/Jobs serial
+	// simulations at once. Default GOMAXPROCS.
 	Workers int
 	// JournalPath, when non-empty, makes the store crash-safe: every
 	// job transition is appended to this JSONL write-ahead log, and

@@ -9,6 +9,36 @@ import (
 	"turnmodel/internal/traffic"
 )
 
+// zeroAllocCase is one steady-state configuration of the zero-
+// allocation guards: a metrics collector (or none) and a traffic class.
+type zeroAllocCase struct {
+	name string
+	m    *metrics.Collector
+	// class selects the configuration: "" is single-VC wormhole
+	// negative-first on an 8x8 mesh, "multi-vc" dateline routing on an
+	// 8x2 torus, "saf" chained store-and-forward with mixed lengths.
+	class string
+}
+
+func (tc zeroAllocCase) config() Config {
+	cfg := Config{OfferedLoad: 2.0, Seed: 3, Metrics: tc.m}
+	switch tc.class {
+	case "multi-vc":
+		topo := topology.NewTorus(8, 2)
+		cfg.VCAlgorithm = routing.NewDatelineDOR(topo)
+		cfg.Pattern = traffic.NewUniform(topo)
+	default:
+		topo := topology.NewMesh(8, 8)
+		cfg.Algorithm = routing.NewNegativeFirst(topo)
+		cfg.Pattern = traffic.NewUniform(topo)
+		if tc.class == "saf" {
+			cfg.Switching = StoreAndForward
+			cfg.Lengths = []int{6, 12}
+		}
+	}
+	return cfg
+}
+
 // TestAllocateZeroAllocs: the allocation phase must perform zero heap
 // allocations per cycle in steady state — candidate caches, the waiting
 // buffer and the filter scratch are all engine-owned and reused. The
@@ -16,36 +46,22 @@ import (
 // worst-case full scan, not just the event-driven fast path. The
 // invariant holds both without metrics (the production hot path pays
 // only nil checks) and with a collector attached (counters are
-// preallocated slices, incremented in place).
+// preallocated slices, incremented in place), for single- and multi-VC
+// relations.
 func TestAllocateZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		m      *metrics.Collector
-		shards int
-	}{
-		{"metrics-disabled", nil, 0},
-		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), 0},
-		// The sharded phase must stay allocation-free too: per-shard
-		// scratch and commit logs are reused, and the worker pool is
-		// persistent (no goroutine spawns per cycle).
-		{"metrics-enabled-sharded", metrics.New(metrics.Config{Interval: 100}), 3},
+	for _, tc := range []zeroAllocCase{
+		{"metrics-disabled", nil, ""},
+		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), ""},
+		{"metrics-enabled-multi-vc", metrics.New(metrics.Config{Interval: 100}), "multi-vc"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			topo := topology.NewMesh(8, 8)
-			e, err := New(Config{
-				Algorithm:     routing.NewNegativeFirst(topo),
-				Pattern:       traffic.NewUniform(topo),
-				OfferedLoad:   2.0,
-				WarmupCycles:  1 << 30, // never start measuring: histograms may allocate
-				MeasureCycles: 1,
-				Seed:          3,
-				Metrics:       tc.m,
-				Shards:        tc.shards,
-			})
+			cfg := tc.config()
+			cfg.WarmupCycles = 1 << 30 // never start measuring: histograms may allocate
+			cfg.MeasureCycles = 1
+			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			for i := 0; i < 2000; i++ {
 				e.step()
 				e.cycle++
@@ -74,46 +90,22 @@ func TestAllocateZeroAllocs(t *testing.T) {
 // refill after a new in-flight high-water mark), so the guard allows a
 // small epsilon per batch instead of demanding exactly zero.
 func TestWholeRunZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		m      *metrics.Collector
-		shards int
-		multVC bool
-	}{
-		{"metrics-disabled", nil, 0, false},
-		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), 0, false},
-		// Sharded steady state must hold the same bound: the worker pool
-		// parks between cycles instead of respawning, and the deferred
-		// commit logs grow to their high-water mark then stop.
-		{"metrics-enabled-sharded", metrics.New(metrics.Config{Interval: 100}), 3, false},
-		// Multi-VC sharded: the conflict-partitioned move's union-find,
-		// seed order, component assignment and op logs are all persistent
-		// scratch reset via dirty lists — steady state must not allocate.
-		{"multi-vc-sharded", nil, 3, true},
+	for _, tc := range []zeroAllocCase{
+		{"metrics-disabled", nil, ""},
+		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), ""},
+		// Whole-packet buffers and the multi-VC worklist seeding keep
+		// their scratch too.
+		{"metrics-enabled-saf", metrics.New(metrics.Config{Interval: 100}), "saf"},
+		{"metrics-enabled-multi-vc", metrics.New(metrics.Config{Interval: 100}), "multi-vc"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				OfferedLoad:   2.0,
-				WarmupCycles:  1,
-				MeasureCycles: 1 << 30,
-				Seed:          3,
-				Metrics:       tc.m,
-				Shards:        tc.shards,
-			}
-			if tc.multVC {
-				topo := topology.NewTorus(8, 2)
-				cfg.VCAlgorithm = routing.NewDatelineDOR(topo)
-				cfg.Pattern = traffic.NewUniform(topo)
-			} else {
-				topo := topology.NewMesh(8, 8)
-				cfg.Algorithm = routing.NewNegativeFirst(topo)
-				cfg.Pattern = traffic.NewUniform(topo)
-			}
+			cfg := tc.config()
+			cfg.WarmupCycles = 1
+			cfg.MeasureCycles = 1 << 30
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			// Mirror the run loop's measurement-window switch, then warm
 			// until the histogram buckets, ring high-water marks and
 			// freelist cover the steady state.

@@ -27,8 +27,8 @@ func (b bitset) setAll(n int) {
 
 // appendTo appends every set bit to dst in ascending order and returns
 // the extended slice. It is forEach without the per-bit indirect call,
-// for per-cycle hot paths that materialize the set into a worklist
-// (the conflict-partitioned move's seed-order build).
+// for per-cycle hot paths that materialize the set (the multi-VC
+// movement worklist seeding).
 func (b bitset) appendTo(dst []int32) []int32 {
 	for w, word := range b {
 		base := int32(w << 6)
@@ -53,11 +53,9 @@ func (b bitset) forEach(fn func(i int32)) {
 }
 
 // forEachIn calls fn for every set bit i with lo <= i < hi, in
-// ascending order. It reads each word once up front, so it tolerates
-// concurrent range enumerations of disjoint [lo, hi) windows as long as
-// no bit is mutated during the pass (the sharded allocation phase's
-// contract: shard workers only read the worklists and defer updates to
-// the serial commit).
+// ascending order: forEach restricted to a window, with the first and
+// last words masked to the window's edges. Like forEach, it reads each
+// word once when that word's pass starts.
 func (b bitset) forEachIn(lo, hi int32, fn func(i int32)) {
 	if lo >= hi {
 		return

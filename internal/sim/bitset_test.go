@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestBitsetForEachIn: forEachIn backs both sharded phases' range
-// enumerations, so its word-boundary masking must be exact. Each case
-// is checked against a reference scan over get().
+// TestBitsetForEachIn: the window masking at both ends must be exact
+// on every word-boundary class. Each case is checked against a
+// reference scan over get().
 func TestBitsetForEachIn(t *testing.T) {
 	const n = 300 // several words plus a partial tail word
 	b := newBitset(n)
@@ -54,8 +54,7 @@ func TestBitsetForEachIn(t *testing.T) {
 			}
 		})
 	}
-	// Disjoint windows must tile exactly to a full enumeration — the
-	// sharded phases' partition contract.
+	// Disjoint windows must tile exactly to a full enumeration.
 	var tiled []int32
 	for _, edge := range [][2]int32{{0, 37}, {37, 64}, {64, 65}, {65, 192}, {192, n}} {
 		b.forEachIn(edge[0], edge[1], func(i int32) { tiled = append(tiled, i) })
@@ -68,9 +67,9 @@ func TestBitsetForEachIn(t *testing.T) {
 }
 
 // TestBitsetAppendTo: appendTo is forEach flattened into a slice
-// append — the conflict-partitioned move builds its seed order with it
-// every cycle, so it must agree with forEach exactly and respect the
-// destination's existing contents.
+// append — the multi-VC movement seeding uses it every cycle, so it
+// must agree with forEach exactly and respect the destination's
+// existing contents.
 func TestBitsetAppendTo(t *testing.T) {
 	const n = 300
 	b := newBitset(n)

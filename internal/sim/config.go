@@ -185,26 +185,6 @@ type Config struct {
 	// so a packet can never revisit a channel (Section 2).
 	MisrouteAfter int64
 
-	// Shards splits the parallelizable phases of every cycle — the
-	// allocation propose (with the move pre-pass) and the
-	// conflict-partitioned move drain — across that many worker
-	// goroutines (routers statically partitioned into contiguous
-	// shards; the move phase instead partitions by conflict component,
-	// so every switching class shards, multi-VC and chained
-	// store-and-forward included). 0 or 1 runs serially, preserving the
-	// single-threaded behavior exactly; ShardsAuto (-1) sizes the count
-	// automatically as min(GOMAXPROCS, routers/64). Results are
-	// bit-identical for any value, including auto: workers mutate only
-	// shard-owned (or component-owned) state, and a serial commit
-	// applies grants, worklist updates, shared counters and observer
-	// events in the serial engine's order. Configurations whose
-	// allocation consumes the shared random stream in router-visit
-	// order (Input == RandomInput or Policy == RandomPolicy) silently
-	// fall back to serial execution, since any partition of those draws
-	// would change the stream. See DESIGN.md, "Deterministic sharded
-	// execution" and "Conflict-partitioned movement".
-	Shards int
-
 	// StrictAdvance disables chained advance: by default (false) a
 	// worm's trailing flits may move into buffers freed in the same
 	// cycle — the paper's synchronized-worm behaviour — while in strict
@@ -236,12 +216,6 @@ type Config struct {
 	// Observer, if non-nil, receives simulation events (injections,
 	// allocations, flit forwards, deliveries).
 	Observer Observer
-
-	// DisableRouteTable turns off compiled route tables, forcing direct
-	// CandidatesVC evaluation for every header. Results are bit-
-	// identical either way (the determinism tests assert it); the switch
-	// exists for those A/B tests and for diagnosing table issues.
-	DisableRouteTable bool
 
 	// FaultPlan, if non-nil, schedules channel faults and repairs on
 	// simulated-cycle timestamps: the engine applies due events at the
@@ -336,9 +310,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.DeadlockThreshold == 0 {
 		cfg.DeadlockThreshold = 10000
-	}
-	if cfg.Shards < 0 && cfg.Shards != ShardsAuto {
-		return cfg, fmt.Errorf("sim: negative shard count %d (use %d for auto)", cfg.Shards, ShardsAuto)
 	}
 	if cfg.RecoveryThreshold < 0 {
 		return cfg, fmt.Errorf("sim: negative recovery threshold %d", cfg.RecoveryThreshold)

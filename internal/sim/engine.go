@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
@@ -107,8 +106,8 @@ type Engine struct {
 	depth int // effective input buffer capacity in flits
 
 	// table is the compiled route table for alg at the current fault
-	// epoch, or nil when the relation is not compilable (or tables are
-	// disabled). With a table, fillCandCache is a slice reference into
+	// epoch, or nil when routing.TableFor declines to compile the
+	// relation. With a table, fillCandCache is a slice reference into
 	// the table arena; without, it evaluates the relation directly.
 	table *routing.Table
 
@@ -141,8 +140,9 @@ type Engine struct {
 	nextPktID int64
 	inFlight  int // packets generated but not yet fully delivered
 
-	// movement worklist membership (the worklists themselves live in the
-	// per-shard allocState scratch)
+	// work is the movement phase's LIFO worklist of input buffers, and
+	// inWork its membership flags.
+	work    []int32
 	inWork  []bool
 	injUsed []bool // injection channel used this cycle, per injection input
 
@@ -167,70 +167,23 @@ type Engine struct {
 	dirtyLinks []int32
 	dirtyInj   []int32
 
-	// shards holds the allocation-phase scratch, one entry per shard and
-	// reused every cycle so the steady-state hot path performs no heap
-	// allocations. Serial engines (nshards == 1) use shards[0] with
-	// deferred commits disabled; sharded engines partition routers into
-	// contiguous ranges [shardLo[s], shardLo[s+1]) and run one worker
-	// per shard (see shard.go).
-	shards      []allocState
-	oneShard    [1]allocState // backing for the serial case: no extra slice allocation per Run
-	nshards     int
-	shardLo     []int32
-	seedScratch []int32 // move seeding order buffer (vcs > 1)
+	// Allocation scratch, reused across routers and cycles so the
+	// steady-state hot path performs no heap allocations: the inputs
+	// holding an eligible header (len vport), the CandidatesVC result
+	// buffer, the candidates whose output is free, and their
+	// distance-reducing subset.
+	waiting   []int32
+	rawCands  []routing.VirtualDirection
+	freeCands []routing.Candidate
+	profCands []routing.Candidate
 
-	// moveSharded marks engines whose move phase runs the conflict-
-	// partitioned parallel drain (every sharded engine: no switching
-	// class falls back to serial anymore). shardOf maps a router to its
-	// owning shard, the fallback owner for injection sweeps whose
-	// injection input is not part of any move component.
-	moveSharded bool
-	shardOf     []int32
-
-	// Conflict-partitioned move scratch (sharded engines only), all
-	// persistent and reset via dirty lists so steady state allocates
-	// nothing. seedOrder is the cycle's flowing inputs in the serial
-	// engine's worklist push order; seedShard maps each seed ordinal to
-	// the shard that drains its component. mvParent/mvSize are the
-	// union-find over input channels (valid only for mvEnum inputs,
-	// reset via mvTouched); mvStack is the component-discovery worklist;
-	// compShard maps a component root to its assigned shard (-1 until
-	// assignment); shardLoad counts seeds per shard for the balance
-	// heuristic; mergeCur is the commit's per-shard log cursor.
-	seedOrder []int32
-	seedShard []int32
-	mvParent  []int32
-	mvSize    []int32
-	mvTouched []int32
-	mvStack   []int32
-	compShard []int32
-	shardLoad []int32
-	mergeCur  []int32
-	mvEnum    []bool
+	// flowScratch materializes the flowing set when seeding the
+	// movement worklist of a multi-VC engine (see seedMoveWork).
+	flowScratch []int32
 
 	// lenStart snapshots each buffer's length at the start of the move
-	// phase (strict-advance mode only, nil otherwise). Sharded engines
-	// fill it in the parallel pre-pass — buffer lengths cannot change
-	// between generation and movement — serial engines at the top of
-	// move.
+	// phase (strict-advance mode only, nil otherwise).
 	lenStart []int32
-	// readyBits memoizes readyToForward for store-and-forward runs under
-	// sharding: readyBits[in] == true guarantees the front packet's tail
-	// has arrived at input in. Every queue mutation clears the bit, so a
-	// set bit is always current; a clear bit falls back to the scan. The
-	// sharded pre-pass refreshes the bits for flowing inputs in parallel.
-	readyBits []bool
-
-	// gate coordinates the worker pool for sharded execution: one
-	// goroutine per shard above zero (shard zero runs on the stepping
-	// goroutine), started lazily at the first sharded cycle and parked
-	// on the gate between parallel regions. The pool stays warm across
-	// repeated runs; Close releases it. gateMu serializes pool
-	// start/teardown with region execution, making Close idempotent and
-	// safe to call concurrently with a run (see shard.go). Serial
-	// engines never touch either.
-	gateMu sync.Mutex
-	gate   *shardGate
 
 	// linkFlits counts flits carried per physical link during the
 	// measurement window, for utilization reporting.
@@ -334,22 +287,26 @@ func New(cfg Config) (*Engine, error) {
 		allocWork:      newBitset(n),
 		lastFaultEpoch: int32(t.FaultEpoch()),
 		script:         c.Script,
+		waiting:        make([]int32, vport),
+		rawCands:       make([]routing.VirtualDirection, 0, ndim2*vcs),
+		freeCands:      make([]routing.Candidate, 0, ndim2*vcs),
+		profCands:      make([]routing.Candidate, 0, ndim2*vcs),
+		// Compile (or fetch the cached compilation of) the routing
+		// relation into a flat (node, dst) candidate table. The table's
+		// Candidate.Out indices use routing.OutIndex, which is exactly
+		// this engine's port layout. nil means the relation is not
+		// compilable; fillCandCache then evaluates it directly.
+		table: routing.TableFor(alg),
 	}
-	e.initShards(n, ndim2)
+	if c.StrictAdvance {
+		e.lenStart = make([]int32, n*vport)
+	}
 	// Precompute the packet-length distribution's cumulative weights so
 	// drawLength no longer sums the weight vector per draw.
 	e.lenCum = make([]float64, len(c.LengthWeights))
 	for i, w := range c.LengthWeights {
 		e.lenTotal += w
 		e.lenCum[i] = e.lenTotal
-	}
-	if !c.DisableRouteTable {
-		// Compile (or fetch the cached compilation of) the routing
-		// relation into a flat (node, dst) candidate table. The table's
-		// Candidate.Out indices use routing.OutIndex, which is exactly
-		// this engine's port layout. nil means the relation is not
-		// compilable; fillCandCache then evaluates it directly.
-		e.table = routing.TableFor(alg)
 	}
 	if slots := n * vport * e.depth; slots <= flitArenaMaxFlits {
 		// One arena backs every input buffer: each buffer gets a
@@ -546,13 +503,8 @@ func (e *Engine) allocate() {
 			e.table = routing.TableFor(e.alg)
 		}
 	}
-	if e.nshards > 1 {
-		e.allocateSharded(epoch)
-		return
-	}
-	st := &e.shards[0]
 	e.allocWork.forEach(func(v int32) {
-		if !e.allocateRouter(int(v), epoch, st) {
+		if !e.allocateRouter(int(v), epoch) {
 			e.allocWork.clear(v)
 		}
 	})
@@ -562,12 +514,8 @@ func (e *Engine) allocate() {
 // the router must stay on the allocation worklist (a pending header
 // whose eligibility or patience is time-driven, or — under the
 // random-input policy — any unallocated header, so the arbitration
-// random stream matches a full rescan exactly). st is the calling
-// shard's scratch; allocation touches only router-local state (busyBy
-// and inbufs entries of v's own ports, v's metrics counters), and
-// anything shared — worklist bitsets, observer callbacks — goes through
-// st, which defers it to the serial commit when the engine is sharded.
-func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
+// random stream matches a full rescan exactly).
+func (e *Engine) allocateRouter(v int, epoch int32) bool {
 	base := v * e.vport
 	nw := 0
 	keep := false
@@ -577,7 +525,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			continue
 		}
 		if e.cycle-b.headArrival > e.cfg.RouterDelay {
-			st.waiting[nw] = int32(base + p)
+			e.waiting[nw] = int32(base + p)
 			nw++
 		} else {
 			keep = true // header present, router delay not yet expired
@@ -586,7 +534,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 	if nw == 0 {
 		return keep
 	}
-	w := st.waiting[:nw]
+	w := e.waiting[:nw]
 	switch e.cfg.Input {
 	case LocalFCFS:
 		// Stable insertion sort by arrival time: ties keep ascending
@@ -616,13 +564,13 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			if e.busyBy[out] < 0 {
 				e.busyBy[out] = in
 				b.allocOut = out
-				st.setFlowing(e, in)
+				e.flowing.set(in)
 				if e.m != nil {
 					e.m.Grants[v]++
 					e.m.WaitCycles[v] += e.cycle - b.headArrival
 				}
 				if e.cfg.Observer != nil {
-					st.observeAllocate(e, topology.NodeID(v), topology.Direction{}, 0, true)
+					e.cfg.Observer.Allocate(e.cycle, topology.NodeID(v), topology.Direction{}, 0, true)
 				}
 			} else {
 				blocked++
@@ -633,12 +581,12 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			continue
 		}
 		if b.candPkt != pkt.id || b.candEpoch != epoch {
-			e.fillCandCache(v, b, pkt, epoch, st)
+			e.fillCandCache(v, b, pkt, epoch)
 		}
 		// Keep only candidates whose virtual output channel is free;
 		// existence, virtual-channel validity and fault state were
 		// filtered into the cache.
-		free := st.freeCands[:0]
+		free := e.freeCands[:0]
 		for i := range b.cands {
 			if e.busyBy[b.cands[i].Out] < 0 {
 				free = append(free, b.cands[i])
@@ -656,7 +604,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 		// header has waited long enough.
 		pick := free
 		if e.cfg.MisrouteAfter > 0 {
-			prof := st.profCands[:0]
+			prof := e.profCands[:0]
 			for i := range free {
 				if free[i].Prof {
 					prof = append(prof, free[i])
@@ -680,7 +628,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 		}
 		e.busyBy[c.Out] = in
 		b.allocOut = c.Out
-		st.setFlowing(e, in)
+		e.flowing.set(in)
 		if e.m != nil {
 			e.m.Grants[v]++
 			e.m.WaitCycles[v] += e.cycle - b.headArrival
@@ -692,7 +640,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			}
 		}
 		if e.cfg.Observer != nil {
-			st.observeAllocate(e, topology.NodeID(v), c.Direction(), int(c.VC), false)
+			e.cfg.Observer.Allocate(e.cycle, topology.NodeID(v), c.Direction(), int(c.VC), false)
 		}
 	}
 	if blocked > 0 && e.cfg.Input == RandomInput {
@@ -708,11 +656,11 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 // header of packet pkt waiting at the front of input buffer b of router
 // v. With a compiled route table this is a slice reference into the
 // table's arena; otherwise (arrival-dependent relations, scripted
-// first-hop restrictions, tables disabled) the relation is evaluated
-// directly into the buffer-owned fallback storage. Either way the list
+// first-hop restrictions, relations TableFor declines) the relation is
+// evaluated directly into the buffer-owned fallback storage. Either way the list
 // keeps every candidate that exists, has a valid virtual channel, and
 // is not faulty; per-cycle allocation then only checks output busyness.
-func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *allocState) {
+func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32) {
 	injected := int(b.port) == e.vport-1
 	cur := topology.NodeID(v)
 	if e.table != nil && !(injected && pkt.firstDir != nil) {
@@ -730,8 +678,8 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *al
 			VC:  int(b.port) % e.vcs,
 		}
 	}
-	raw := e.alg.CandidatesVC(cur, pkt.dst, inp, st.rawCands[:0])
-	st.rawCands = raw[:0]
+	raw := e.alg.CandidatesVC(cur, pkt.dst, inp, e.rawCands[:0])
+	e.rawCands = raw[:0]
 	if inp.Injected && pkt.firstDir != nil {
 		// Scripted first hop: honor it when offered.
 		kept := raw[:0]
@@ -786,15 +734,11 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *al
 	b.candEpoch = epoch
 }
 
-// pushWork schedules input buffer in for a movement attempt this cycle
-// on the calling shard's worklist. Sharded drains only ever push inputs
-// of their own components (cascade targets are component-local by
-// construction, see shard.go), so the shared inWork bytes have a single
-// writer per cycle.
-func (e *Engine) pushWork(in int32, st *allocState) {
+// pushWork schedules input buffer in for a movement attempt this cycle.
+func (e *Engine) pushWork(in int32) {
 	if in >= 0 && !e.inWork[in] {
 		e.inWork[in] = true
-		st.work = append(st.work, in)
+		e.work = append(e.work, in)
 	}
 }
 
@@ -808,38 +752,21 @@ func (e *Engine) pushAllocWork(r int32) { e.allocWork.set(r) }
 // preferred virtual channel is pushed last (the worklist pops LIFO) and
 // the preference rotates with the cycle, a round-robin that prevents one
 // virtual channel from starving the other.
-func (e *Engine) seedMoveWork(st *allocState) {
+func (e *Engine) seedMoveWork() {
 	if e.vcs == 1 {
 		// One virtual channel: ascending input order is exactly the
 		// arbitration order.
-		e.flowing.forEach(func(i int32) { e.pushWork(i, st) })
+		e.flowing.forEach(e.pushWork)
 		return
 	}
-	e.buildSeedOrder()
-	for _, i := range e.seedOrder {
-		e.pushWork(i, st)
-	}
-}
-
-// buildSeedOrder fills e.seedOrder with the cycle's flowing inputs in
-// worklist push order: routers ascending, physical directions ascending,
-// injection channel last, and within each physical direction the virtual
-// channels in the cycle-rotated round-robin order (the preferred channel
-// last, because the drain pops LIFO).
-func (e *Engine) buildSeedOrder() {
-	if e.vcs == 1 {
-		e.seedOrder = e.flowing.appendTo(e.seedOrder[:0])
-		return
-	}
-	e.seedOrder = e.seedOrder[:0]
-	buf := e.flowing.appendTo(e.seedScratch[:0])
-	e.seedScratch = buf[:0]
+	buf := e.flowing.appendTo(e.flowScratch[:0])
+	e.flowScratch = buf[:0]
 	rot := int(e.cycle) % e.vcs
 	for idx := 0; idx < len(buf); {
 		i := buf[idx]
 		port := int(i) % e.vport
 		if port == e.vport-1 {
-			e.seedOrder = append(e.seedOrder, i)
+			e.pushWork(i)
 			idx++
 			continue
 		}
@@ -854,7 +781,7 @@ func (e *Engine) buildSeedOrder() {
 			want := dirBase + int32((rot+k)%e.vcs)
 			for g := idx; g < end; g++ {
 				if buf[g] == want {
-					e.seedOrder = append(e.seedOrder, want)
+					e.pushWork(want)
 					break
 				}
 			}
@@ -868,49 +795,35 @@ func (e *Engine) buildSeedOrder() {
 // in an order that rotates with the cycle count. In chained mode,
 // freeing a buffer slot immediately lets the upstream flit advance into
 // it (the worm moves as a synchronized train); in strict mode only space
-// available at the start of the cycle counts. Sharded engines run the
-// conflict-partitioned parallel drain (shard.go) for every switching
-// class; results are bit-identical to this serial path.
+// available at the start of the cycle counts.
 func (e *Engine) move() {
-	if e.cfg.StrictAdvance && e.nshards <= 1 {
-		// Sharded engines fill the snapshot in the parallel pre-pass
-		// (buffer lengths cannot change between generation and movement);
-		// serial engines do it here.
+	if e.cfg.StrictAdvance {
 		for i := range e.inbufs {
 			e.lenStart[i] = int32(len(e.inbufs[i].q))
 		}
 	}
-	if e.nshards > 1 {
-		e.moveParallel()
-		return
-	}
-	st := &e.shards[0]
 	// inWork is all-false here: the previous drain popped (and cleared)
 	// every entry it pushed.
-	st.work = st.work[:0]
-	e.seedMoveWork(st)
+	e.work = e.work[:0]
+	e.seedMoveWork()
 	// Source-queue injections are attempted for every nonempty queue.
 	for v := range e.queues {
 		if e.queues[v].len() > 0 {
-			e.tryInject(topology.NodeID(v), st)
+			e.tryInject(topology.NodeID(v))
 		}
 	}
-	for len(st.work) > 0 {
-		in := st.work[len(st.work)-1]
-		st.work = st.work[:len(st.work)-1]
+	for len(e.work) > 0 {
+		in := e.work[len(e.work)-1]
+		e.work = e.work[:len(e.work)-1]
 		e.inWork[in] = false
-		e.moveOne(in, st)
+		e.moveOne(in)
 	}
 }
 
 // tryInject moves the next flit of the source queue's head packet into
 // the injection buffer, modeling the processor-to-router channel
-// (bandwidth one flit per cycle). Buffer and queue mutations happen
-// immediately; everything shared across components — bitsets, dirty
-// lists, metrics, observer callbacks, global counters — goes through
-// st.logInject, which applies it inline when serial and defers it to
-// the ordered commit when the drain runs sharded.
-func (e *Engine) tryInject(v topology.NodeID, st *allocState) {
+// (bandwidth one flit per cycle).
+func (e *Engine) tryInject(v topology.NodeID) {
 	q := &e.queues[v]
 	if q.len() == 0 {
 		return
@@ -926,51 +839,32 @@ func (e *Engine) tryInject(v topology.NodeID, st *allocState) {
 	p := q.front()
 	f := flit{p: p, head: p.flitsSent == 0, tail: p.flitsSent == p.length-1}
 	b.q = append(b.q, f)
-	var flag uint8
-	if b.allocOut >= 0 {
-		flag |= fFlowSet
-	}
-	if f.head {
-		flag |= fHead
-		b.headArrival = e.cycle
-		p.injectCycle = e.cycle
-		if len(b.q) == 1 {
-			flag |= fWakeSelf
-		}
-	}
 	p.flitsSent++
 	p.lastProgress = e.cycle
 	e.injUsed[in] = true
+	e.dirtyInj = append(e.dirtyInj, in)
+	e.flitsInjectedEver++
+	e.lastMove = e.cycle
 	if f.tail {
 		q.pop()
 	}
-	st.logInject(e, in, p, flag)
-}
-
-// applyInject performs the shared-state side of one injection: metrics,
-// the flowing bit, the allocation wake-up, the observer callback and the
-// global counters, in the serial engine's order. Serial engines call it
-// inline from tryInject; sharded drains log the call and the commit
-// replays it in ascending node order.
-func (e *Engine) applyInject(in int32, p *packet, flag uint8) {
 	if e.m != nil {
-		e.m.Occupancy[int(in)/e.vport]++
+		e.m.Occupancy[v]++
 		e.m.InjectedFlits++
 	}
-	if flag&fFlowSet != 0 {
+	if b.allocOut >= 0 {
 		e.flowing.set(in)
 	}
-	if flag&fHead != 0 {
-		if flag&fWakeSelf != 0 {
-			e.pushAllocWork(int32(int(in) / e.vport))
+	if f.head {
+		b.headArrival = e.cycle
+		p.injectCycle = e.cycle
+		if len(b.q) == 1 {
+			e.pushAllocWork(int32(v))
 		}
 		if e.cfg.Observer != nil {
 			e.cfg.Observer.Inject(e.cycle, p.src, p.dst, p.length)
 		}
 	}
-	e.flitsInjectedEver++
-	e.dirtyInj = append(e.dirtyInj, in)
-	e.lastMove = e.cycle
 }
 
 func (e *Engine) hasSpace(in int32, b *inbuf) bool {
@@ -981,25 +875,14 @@ func (e *Engine) hasSpace(in int32, b *inbuf) bool {
 }
 
 // readyToForward applies the switching technique's forwarding rule to
-// the front flit of a network input buffer: store-and-forward holds a
-// packet until its tail flit has arrived; wormhole and virtual
+// the front flit of a nonempty network input buffer: store-and-forward
+// holds a packet until its tail flit has arrived; wormhole and virtual
 // cut-through forward immediately. Injection buffers are exempt (the
-// source queue is the source node's packet store). Sharded engines
-// consult the readyBits memo first: a set bit was computed by the
-// pre-pass against the exact same queue contents (every mutation
-// clears it), skipping the tail scan.
-func (e *Engine) readyToForward(in int32, b *inbuf) bool {
+// source queue is the source node's packet store).
+func (e *Engine) readyToForward(b *inbuf) bool {
 	if !e.cfg.holdsWholePacket() || int(b.port) == e.vport-1 {
 		return true
 	}
-	if e.readyBits != nil && e.readyBits[in] {
-		return true
-	}
-	return e.tailAtFront(b)
-}
-
-// tailAtFront scans a nonempty buffer for the front packet's tail flit.
-func (e *Engine) tailAtFront(b *inbuf) bool {
 	front := b.q[0].p
 	for i := len(b.q) - 1; i >= 0; i-- {
 		if b.q[i].p == front {
@@ -1009,14 +892,10 @@ func (e *Engine) tailAtFront(b *inbuf) bool {
 	return false
 }
 
-// moveOne attempts to advance the front flit of input buffer in. Like
-// tryInject, it mutates buffers, channel holds and packet bookkeeping in
-// place and routes every cross-component side effect through st.logMove:
-// serial engines apply the shared-state bundle inline at the same point
-// in the schedule, sharded drains defer it to the ordered commit. The
-// bundle flags capture post-mutation facts (queue emptied, head/tail,
-// wake-ups due), so the replay needs no access to drain-time state.
-func (e *Engine) moveOne(in int32, st *allocState) {
+// moveOne attempts to advance the front flit of input buffer in: across
+// its allocated link into the downstream buffer, or into the destination
+// processor through the ejection channel.
+func (e *Engine) moveOne(in int32) {
 	b := &e.inbufs[in]
 	if len(b.q) == 0 || b.allocOut < 0 {
 		return
@@ -1026,112 +905,47 @@ func (e *Engine) moveOne(in int32, st *allocState) {
 	if e.linkUsed[phys] {
 		return
 	}
-	if !e.readyToForward(in, b) {
+	if !e.readyToForward(b) {
 		return
 	}
 	f := b.q[0]
 	dest := e.outDest[out]
 	if dest < 0 {
 		// Ejection: the destination processor consumes immediately.
-		e.linkUsed[phys] = true
-		var flag uint8
-		if e.popFrontQ(in, b) {
-			flag |= fFlowClear
+		e.useLink(phys)
+		if e.m != nil {
+			r := int(in) / e.vport
+			e.m.ChannelFlits[phys]++
+			e.m.RouterFlits[r]++
+			e.m.Occupancy[r]--
+			e.m.DeliveredFlits++
 		}
+		e.flitsDeliveredEver++
+		e.popFront(in, b)
 		f.p.flitsDelivered++
 		f.p.lastProgress = e.cycle
 		if f.tail {
-			// The tail passed: deliver the packet, free the ejection
-			// channel, and wake the router's allocation scan (the release
-			// always wakes it; a new front header would only wake the
-			// same router again).
-			flag |= fTail | fFlowClear | fWakeSelf
+			// The tail passed: free the ejection channel (which wakes
+			// the router's allocation scan) and deliver the packet.
 			e.releaseCh(in, out)
+			e.deliver(f.p)
 		}
-		st.logMove(e, moEject, in, out, flag, f.p)
-		e.cascade(in, b, st)
+		if e.stats.measuring {
+			e.stats.flitsDelivered++
+		}
+		e.cascade(in, b)
 		return
 	}
 	db := &e.inbufs[dest]
 	if !e.hasSpace(dest, db) {
 		return
 	}
-	e.linkUsed[phys] = true
-	var flag uint8
-	if f.head {
-		flag |= fHead
-	}
-	if e.popFrontQ(in, b) {
-		flag |= fFlowClear
-	}
-	db.q = append(db.q, f)
-	if e.readyBits != nil {
-		e.readyBits[dest] = false
-	}
-	if db.allocOut >= 0 {
-		flag |= fFlowSet
-	}
-	f.p.lastProgress = e.cycle
-	if f.head {
-		db.headArrival = e.cycle
-		f.p.hops++
-		if len(db.q) == 1 {
-			flag |= fWakeDest
-		}
-	}
-	if f.tail {
-		flag |= fTail | fFlowClear | fWakeSelf
-		e.releaseCh(in, out)
-	}
-	st.logMove(e, moForward, in, out, flag, nil)
-	e.cascade(in, b, st)
-}
-
-// applyEject performs the shared-state side of one ejection move:
-// metrics, link accounting, delivery finalization, the flowing bit and
-// the wake-up, in the serial engine's order.
-func (e *Engine) applyEject(in, out int32, flag uint8, p *packet) {
-	phys := e.physOf[out]
-	e.dirtyLinks = append(e.dirtyLinks, phys)
-	if e.stats.measuring {
-		e.linkFlits[phys]++
-	}
+	e.useLink(phys)
 	if e.m != nil {
 		r := int(in) / e.vport
 		e.m.ChannelFlits[phys]++
 		e.m.RouterFlits[r]++
 		e.m.Occupancy[r]--
-		e.m.DeliveredFlits++
-	}
-	e.flitsDeliveredEver++
-	e.lastMove = e.cycle
-	if flag&fFlowClear != 0 {
-		e.flowing.clear(in)
-	}
-	if flag&fTail != 0 {
-		e.deliver(p)
-	}
-	if flag&fWakeSelf != 0 {
-		e.pushAllocWork(int32(int(in) / e.vport))
-	}
-	e.countDeliveredFlit()
-}
-
-// applyForward performs the shared-state side of one link traversal:
-// metrics, the observer callback, both flowing bits and the wake-ups,
-// in the serial engine's order. dest and phys are recomputed from the
-// static topology arrays, so the op log carries only (in, out, flags).
-func (e *Engine) applyForward(in, out int32, flag uint8) {
-	phys := e.physOf[out]
-	dest := e.outDest[out]
-	e.dirtyLinks = append(e.dirtyLinks, phys)
-	if e.stats.measuring {
-		e.linkFlits[phys]++
-	}
-	if e.m != nil {
-		e.m.ChannelFlits[phys]++
-		e.m.RouterFlits[int(in)/e.vport]++
-		e.m.Occupancy[int(in)/e.vport]--
 		e.m.Occupancy[int(dest)/e.vport]++
 	}
 	if e.cfg.Observer != nil {
@@ -1139,66 +953,76 @@ func (e *Engine) applyForward(in, out int32, flag uint8) {
 		e.cfg.Observer.Forward(e.cycle, topology.Channel{
 			From: topology.NodeID(int(out) / e.vport),
 			Dir:  topology.DirectionFromIndex(p / e.vcs),
-		}, p%e.vcs, flag&fHead != 0, flag&fTail != 0)
+		}, p%e.vcs, f.head, f.tail)
 	}
-	if flag&fFlowClear != 0 {
-		e.flowing.clear(in)
-	}
-	if flag&fFlowSet != 0 {
+	e.popFront(in, b)
+	db.q = append(db.q, f)
+	if db.allocOut >= 0 {
 		e.flowing.set(dest)
 	}
-	e.lastMove = e.cycle
-	if flag&fWakeDest != 0 {
-		e.pushAllocWork(int32(int(dest) / e.vport))
+	f.p.lastProgress = e.cycle
+	if f.head {
+		db.headArrival = e.cycle
+		f.p.hops++
+		if len(db.q) == 1 {
+			e.pushAllocWork(int32(int(dest) / e.vport))
+		}
 	}
-	if flag&fWakeSelf != 0 {
-		e.pushAllocWork(int32(int(in) / e.vport))
+	if f.tail {
+		e.releaseCh(in, out)
 	}
+	e.cascade(in, b)
 }
 
-// popFrontQ removes the front flit of input buffer in and reports
-// whether the buffer is now empty (the caller folds that into the
-// bundle's flowing-clear flag).
-func (e *Engine) popFrontQ(in int32, b *inbuf) bool {
+// useLink claims physical link slot phys for this cycle and counts the
+// flit it carries.
+func (e *Engine) useLink(phys int32) {
+	e.linkUsed[phys] = true
+	e.dirtyLinks = append(e.dirtyLinks, phys)
+	if e.stats.measuring {
+		e.linkFlits[phys]++
+	}
+	e.lastMove = e.cycle
+}
+
+// popFront removes the front flit of input buffer in; an emptied buffer
+// stops flowing.
+func (e *Engine) popFront(in int32, b *inbuf) {
 	copy(b.q, b.q[1:])
 	b.q = b.q[:len(b.q)-1]
-	if e.readyBits != nil {
-		e.readyBits[in] = false
+	if len(b.q) == 0 {
+		e.flowing.clear(in)
 	}
-	return len(b.q) == 0
 }
 
 // releaseCh frees the virtual output channel held through input in after
-// the tail flit passed. The flowing clear and the allocation wake-up
-// ride the move bundle's flags.
+// the tail flit passed. The input stops flowing, and its router's
+// allocation scan wakes: the freed output may unblock a waiting header,
+// and a header queued behind the tail is now at the front.
 func (e *Engine) releaseCh(in, out int32) {
 	e.busyBy[out] = -1
 	e.inbufs[in].allocOut = -1
+	e.flowing.clear(in)
+	e.pushAllocWork(int32(int(in) / e.vport))
 }
 
 // cascade schedules the feeder of input buffer in, which may now have
-// space to receive a flit (chained advance). Under a sharded drain both
-// targets are component-local: the feeder held its channel when the
-// components were built (channel holds only get released, never
-// acquired, during movement), so the feeder edge put it in in's
-// component, and the injection path touches only in's own router.
-func (e *Engine) cascade(in int32, b *inbuf, st *allocState) {
+// space to receive a flit (chained advance).
+func (e *Engine) cascade(in int32, b *inbuf) {
 	if e.cfg.StrictAdvance {
 		return
 	}
 	if int(b.port) == e.vport-1 {
 		// Injection buffer freed: the source queue may inject.
-		v := topology.NodeID(int(in) / e.vport)
-		e.tryInject(v, st)
+		e.tryInject(topology.NodeID(int(in) / e.vport))
 		return
 	}
 	up := e.upOut[in]
 	if up < 0 {
 		return
 	}
-	feeder := e.busyBy[up]
-	if feeder >= 0 {
-		e.pushWork(feeder, st)
+	if feeder := e.busyBy[up]; feeder >= 0 {
+		e.pushWork(feeder)
 	}
 }
 
@@ -1240,12 +1064,6 @@ func (e *Engine) deliver(p *packet) {
 	// packet; recycle it. Its flits are all consumed (the tail is the
 	// last), so nothing in the network still points at it.
 	e.releasePacket(p)
-}
-
-func (e *Engine) countDeliveredFlit() {
-	if e.stats.measuring {
-		e.stats.flitsDelivered++
-	}
 }
 
 // backlogFlits returns the flits waiting in source queues (including the

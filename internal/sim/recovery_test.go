@@ -351,3 +351,118 @@ func TestTransientFaultCampaignRun(t *testing.T) {
 		t.Errorf("campaign runs diverged:\n a: %+v\n b: %+v", a, b)
 	}
 }
+
+// deliveryEvent is one delivered packet as the Observer sees it; equal
+// streams mean two runs delivered the same packets at the same cycles
+// along paths of the same length.
+type deliveryEvent struct {
+	cycle    int64
+	src, dst topology.NodeID
+	lat      int64
+	hops     int
+}
+
+// TestRecoveryUnderMidRunFault: a seeded serial run stepped through a
+// mid-run DisableChannel and its repair, with the recovery watchdog and
+// the invariant checker armed, for the single-VC wormhole, multi-VC
+// dateline and chained store-and-forward classes. The fault forces an
+// allocation rescan and a route-table recompile at each epoch change.
+// Two runs of the same seed must deliver identical event streams, and
+// every generated packet must be delivered, dropped or still in flight.
+func TestRecoveryUnderMidRunFault(t *testing.T) {
+	const (
+		cycles       = 2000
+		faultCycle   = 300
+		restoreCycle = 1100
+	)
+	cases := []struct {
+		name string
+		mk   func() (Config, *topology.Topology, topology.Channel)
+	}{
+		{"wormhole-mesh", func() (Config, *topology.Topology, topology.Channel) {
+			topo := topology.NewMesh(8, 8)
+			broken := topology.Channel{From: topo.ID(topology.Coord{4, 4}), Dir: topology.Direction{Dim: 1, Pos: true}}
+			return Config{
+				Algorithm:   routing.NewNegativeFirst(topo),
+				Pattern:     traffic.NewUniform(topo),
+				OfferedLoad: 2.0,
+				Seed:        17,
+			}, topo, broken
+		}},
+		{"dateline-torus-vc", func() (Config, *topology.Topology, topology.Channel) {
+			topo := topology.NewTorus(6, 2)
+			broken := topology.Channel{From: topo.ID(topology.Coord{3, 3}), Dir: topology.Direction{Dim: 0, Pos: true}}
+			return Config{
+				VCAlgorithm: routing.NewDatelineDOR(topo),
+				Pattern:     traffic.NewUniform(topo),
+				OfferedLoad: 2.5,
+				Seed:        31,
+			}, topo, broken
+		}},
+		{"store-and-forward-chained", func() (Config, *topology.Topology, topology.Channel) {
+			topo := topology.NewMesh(6, 6)
+			broken := topology.Channel{From: topo.ID(topology.Coord{3, 3}), Dir: topology.Direction{Dim: 1, Pos: true}}
+			return Config{
+				Algorithm:   routing.NewWestFirst(topo),
+				Pattern:     traffic.NewUniform(topo),
+				OfferedLoad: 2.0,
+				Lengths:     []int{6, 12},
+				Switching:   StoreAndForward,
+				Seed:        37,
+			}, topo, broken
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var streams [2][]deliveryEvent
+			for i := range streams {
+				cfg, topo, broken := tc.mk()
+				cfg.WarmupCycles = 1 << 30
+				cfg.MeasureCycles = 1
+				cfg.RecoveryThreshold = 128
+				cfg.RetryLimit = 8
+				cfg.CheckInvariants = true
+				evs := &streams[i]
+				cfg.Observer = ObserverFuncs{DeliverFn: func(cycle int64, src, dst topology.NodeID, lat int64, hops int) {
+					*evs = append(*evs, deliveryEvent{cycle, src, dst, lat, hops})
+				}}
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e.cycle < cycles {
+					switch e.cycle {
+					case faultCycle:
+						topo.DisableChannel(broken)
+					case restoreCycle:
+						topo.EnableChannel(broken)
+					}
+					e.step()
+					if e.cycle%256 == 255 {
+						e.checkInvariantsNow("periodic")
+					}
+					e.cycle++
+				}
+				e.checkInvariantsNow("end of run")
+				if e.invariantErr != "" {
+					t.Fatalf("run %d invariant violation: %s", i, e.invariantErr)
+				}
+				if got := e.stats.totalDeliveredEver + e.recov.drops + int64(e.inFlight); got != e.nextPktID {
+					t.Fatalf("run %d packet books broken: delivered %d + dropped %d + in-flight %d != generated %d",
+						i, e.stats.totalDeliveredEver, e.recov.drops, e.inFlight, e.nextPktID)
+				}
+			}
+			if len(streams[0]) == 0 {
+				t.Fatal("no deliveries; test would be vacuous")
+			}
+			if len(streams[0]) != len(streams[1]) {
+				t.Fatalf("delivery stream lengths differ: %d vs %d", len(streams[0]), len(streams[1]))
+			}
+			for j := range streams[0] {
+				if streams[0][j] != streams[1][j] {
+					t.Fatalf("delivery %d differs: %+v vs %+v", j, streams[0][j], streams[1][j])
+				}
+			}
+		})
+	}
+}

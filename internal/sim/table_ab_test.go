@@ -8,40 +8,49 @@ import (
 	"turnmodel/internal/traffic"
 )
 
-// deliveryEvent is one delivered packet as the Observer sees it; equal
-// streams mean the two runs delivered the same packets at the same
-// cycles along paths of the same length.
-type deliveryEvent struct {
-	cycle    int64
-	src, dst topology.NodeID
-	lat      int64
-	hops     int
-}
-
 func recordDeliveries(dst *[]deliveryEvent) Observer {
 	return ObserverFuncs{DeliverFn: func(cycle int64, src, dst2 topology.NodeID, lat int64, hops int) {
 		*dst = append(*dst, deliveryEvent{cycle, src, dst2, lat, hops})
 	}}
 }
 
-// runAB runs the same configuration with compiled route tables on and
-// off and asserts bit-identical Results and delivery event streams.
+// newAB builds the engine for one leg of a table/direct comparison.
+// The direct leg drops the compiled route table after construction,
+// which is the engine's own fallback for relations routing.TableFor
+// declines to compile; the table leg insists that a table was built,
+// so the comparison is never direct against direct.
+func newAB(t *testing.T, cfg Config, direct bool) *Engine {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.table == nil {
+		t.Fatal("routing.TableFor declined the relation; nothing to compare")
+	}
+	if direct {
+		e.table = nil
+	}
+	return e
+}
+
+// runAB runs the same configuration through the compiled route table
+// and through direct evaluation and asserts bit-identical Results and
+// delivery event streams.
 func runAB(t *testing.T, mk func() Config) {
 	t.Helper()
 	var events [2][]deliveryEvent
 	var results [2]Result
-	for i, disable := range []bool{false, true} {
+	for i, direct := range []bool{false, true} {
 		cfg := mk()
-		cfg.DisableRouteTable = disable
 		cfg.Observer = recordDeliveries(&events[i])
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = res
+		results[i] = newAB(t, cfg, direct).run()
 	}
 	if results[0] != results[1] {
 		t.Errorf("results differ:\n tables: %+v\n direct: %+v", results[0], results[1])
+	}
+	if len(events[0]) == 0 {
+		t.Fatal("no deliveries; test would be vacuous")
 	}
 	if len(events[0]) != len(events[1]) {
 		t.Fatalf("delivery counts differ: tables %d, direct %d", len(events[0]), len(events[1]))
@@ -57,7 +66,8 @@ func runAB(t *testing.T, mk func() Config) {
 // not a behavior change — every configuration class the engine
 // distinguishes (stochastic single-VC, random policy with misrouting,
 // multi-VC dateline torus routing, scripted first-hop restrictions)
-// produces bit-identical results with tables on and off.
+// produces bit-identical whole runs through the table and through
+// direct evaluation of the relation.
 func TestTableABDeterminism(t *testing.T) {
 	t.Run("stochastic-mesh", func(t *testing.T) {
 		runAB(t, func() Config {
@@ -133,28 +143,27 @@ func TestTableABDeterminismUnderFault(t *testing.T) {
 	)
 	var events [2][]deliveryEvent
 	var delivered [2]int64
-	for i, disable := range []bool{false, true} {
+	for i, direct := range []bool{false, true} {
 		topo := topology.NewMesh(8, 8)
 		broken := topology.Channel{From: topo.ID(topology.Coord{4, 4}), Dir: topology.Direction{Dim: 1, Pos: true}}
-		e, err := New(Config{
-			Algorithm:         routing.NewNegativeFirst(topo),
-			Pattern:           traffic.NewUniform(topo),
-			OfferedLoad:       2.0,
-			WarmupCycles:      1 << 30,
-			MeasureCycles:     1,
-			Seed:              17,
-			DisableRouteTable: disable,
-			Observer:          recordDeliveries(&events[i]),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newAB(t, Config{
+			Algorithm:     routing.NewNegativeFirst(topo),
+			Pattern:       traffic.NewUniform(topo),
+			OfferedLoad:   2.0,
+			WarmupCycles:  1 << 30,
+			MeasureCycles: 1,
+			Seed:          17,
+			Observer:      recordDeliveries(&events[i]),
+		}, direct)
 		for e.cycle < cycles {
 			if e.cycle == faultCycle {
 				topo.DisableChannel(broken)
 			}
 			e.step()
 			e.cycle++
+		}
+		if !direct && e.table == nil {
+			t.Fatal("table leg lost its route table at the fault epoch")
 		}
 		delivered[i] = e.stats.totalDeliveredEver
 		topo.EnableChannel(broken)
