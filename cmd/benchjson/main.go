@@ -1,7 +1,8 @@
 // Command benchjson measures the repository's figure benchmarks (the
 // single-load-point renditions of the Section 6 figures that
 // bench_test.go runs) and writes the results as JSON, one record per
-// figure and algorithm with ns/op and allocs/op. The driver writes
+// figure and algorithm with ns/op and allocs/op, plus the screening and
+// route-table compile micro-benchmarks. The driver writes
 // BENCH_<pr>.json files with it so successive changes have a recorded
 // performance trajectory; benchjson itself compares each run against
 // the most recent of those files and prints the deltas.
@@ -309,6 +310,22 @@ func run() int {
 	if rebuildNs > 0 && incNs > 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: screening speedup: incremental is %.1fx faster than rebuild-per-set\n",
 			float64(rebuildNs)/float64(incNs))
+	}
+	// Route-table compile micro-benchmarks (layer L0): one op = one
+	// routing.Compile of a figure relation on its figure's topology, the
+	// set-up every cold sweep, turnsim run and turnserver start pays.
+	for _, alg := range []routing.VCAlgorithm{
+		routing.AsVC(routing.NewWestFirst(topology.NewMesh(16, 16))),
+		routing.AsVC(routing.NewPCube(topology.NewHypercube(8))),
+	} {
+		measureRaw("Compile/"+alg.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := routing.Compile(alg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: no benchmark matches -only %q\n", *only)

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -128,37 +129,6 @@ func (t *Table) MemoryBytes() int {
 	return len(t.spans)*8 + len(t.cands)*8
 }
 
-// compileCands evaluates the relation once and applies the simulator's
-// candidate filter: virtual channel in range, channel existing and not
-// faulty. Profitability is computed unconditionally — the simulator
-// reads it only under misroute patience or metrics, so precomputing it
-// is behavior-neutral.
-func compileCands(alg VCAlgorithm, t *topology.Topology, cur, dst topology.NodeID,
-	in VCInPort, vcs int, raw []VirtualDirection, out []Candidate) ([]Candidate, []VirtualDirection) {
-	raw = alg.CandidatesVC(cur, dst, in, raw[:0])
-	ndim := t.NumDims()
-	baseDist := t.Distance(cur, dst)
-	for _, vd := range raw {
-		if vd.VC < 0 || vd.VC >= vcs {
-			continue
-		}
-		if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
-			continue
-		}
-		prof := false
-		if next, ok := t.Neighbor(cur, vd.Dir); ok && t.Distance(next, dst) < baseDist {
-			prof = true
-		}
-		out = append(out, Candidate{
-			Out:  OutIndex(cur, vd.Dir, vd.VC, ndim, vcs),
-			Dir:  uint8(vd.Dir.Index()),
-			VC:   uint8(vd.VC),
-			Prof: prof,
-		})
-	}
-	return out, raw
-}
-
 func candsEqual(a, b []Candidate) bool {
 	if len(a) != len(b) {
 		return false
@@ -188,6 +158,16 @@ func CompileCount() int64 { return compileCount.Load() }
 // direct evaluation — when the topology is too large or the relation's
 // candidates depend on the arrival port (verified exhaustively unless
 // the relation declares ArrivalInvariant).
+//
+// Rows (one current node each) are compiled in contiguous ranges on
+// up to GOMAXPROCS goroutines, so alg is evaluated concurrently, as the
+// Algorithm contract allows. Each range fills its own candidate arena,
+// and the arenas are concatenated in row order; identical candidate
+// lists share one span within a row, never across rows. The table is
+// therefore the same, span for span, at every GOMAXPROCS, and an
+// arrival-dependent relation reports the same first (node, dst) pair a
+// serial row-major build would. A panic raised by alg in a worker is
+// re-raised on the calling goroutine.
 func Compile(alg VCAlgorithm) (*Table, error) {
 	compileCount.Add(1)
 	t := alg.Topology()
@@ -199,11 +179,9 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 	if vcs < 1 || vcs > 256 {
 		return nil, fmt.Errorf("routing: %s: %d virtual channels not compilable", alg.Name(), vcs)
 	}
-	ndim2 := 2 * t.NumDims()
-	if ndim2 > 256 {
+	if 2*t.NumDims() > 256 {
 		return nil, fmt.Errorf("routing: %s: direction index does not fit the packed candidate", alg.Name())
 	}
-	invariant := isArrivalInvariant(alg)
 	tab := &Table{
 		alg:   alg,
 		topo:  t,
@@ -211,63 +189,281 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 		n:     n,
 		spans: make([]span, n*n*2),
 	}
-	var raw []VirtualDirection
-	var injList, arrList, probe []Candidate
-	for cur := 0; cur < n; cur++ {
-		curID := topology.NodeID(cur)
-		for dst := 0; dst < n; dst++ {
-			if dst == cur {
-				continue // headers at their destination eject; both spans stay empty
-			}
-			dstID := topology.NodeID(dst)
-			injList, raw = compileCands(alg, t, curID, dstID, VCInjected, vcs, raw, injList[:0])
-			if invariant {
-				arrList, raw = compileCands(alg, t, curID, dstID,
-					VCInPort{Dir: topology.Direction{}}, vcs, raw, arrList[:0])
-			} else {
-				// Verify arrival invariance over every port a packet can
-				// actually arrive on: travelling d means it came over the
-				// channel paired with cur's d.Opposite() channel.
-				first := true
-				for di := 0; di < ndim2; di++ {
-					d := topology.DirectionFromIndex(di)
-					if !t.HasChannel(curID, d.Opposite()) {
-						continue
-					}
-					for vc := 0; vc < vcs; vc++ {
-						probe, raw = compileCands(alg, t, curID, dstID,
-							VCInPort{Dir: d, VC: vc}, vcs, raw, probe[:0])
-						if first {
-							arrList = append(arrList[:0], probe...)
-							first = false
-						} else if !candsEqual(arrList, probe) {
-							return nil, fmt.Errorf("routing: %s depends on the arrival port at node %d (dst %d); not compilable",
-								alg.Name(), cur, dst)
-						}
-					}
+	nw := min(runtime.GOMAXPROCS(0), n)
+	ws := make([]*rowCompiler, nw)
+	for i := range ws {
+		ws[i] = newRowCompiler(alg, tab.spans, i*n/nw, (i+1)*n/nw)
+	}
+	// failRow is the lowest row known to fail verification; a worker
+	// stops before any later row, as a serial build would never get
+	// there.
+	var failRow atomic.Int64
+	failRow.Store(int64(n))
+	if nw == 1 {
+		ws[0].run(&failRow)
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range ws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { w.panicked = recover() }()
+				w.run(&failRow)
+			}()
+		}
+		wg.Wait()
+	}
+	// Each worker stopped at its own first failure; the lowest worker's
+	// is the one a serial build meets first.
+	total := 0
+	for _, w := range ws {
+		if w.panicked != nil {
+			panic(w.panicked)
+		}
+		if w.err != nil {
+			return nil, w.err
+		}
+		total += len(w.cands)
+	}
+	tab.cands = make([]Candidate, 0, total)
+	for _, w := range ws {
+		off := int32(len(tab.cands))
+		tab.cands = append(tab.cands, w.cands...)
+		if off == 0 {
+			continue
+		}
+		for cur := w.lo; cur < w.hi; cur++ {
+			row := tab.spans[cur*n*2 : (cur+1)*n*2]
+			for i := range row {
+				if i/2 != cur { // the diagonal stays the empty span {0, 0}
+					row[i].start += off
+					row[i].end += off
 				}
-				if first {
-					// No network input can reach cur (isolated by faults);
-					// only the injected list matters.
-					arrList = append(arrList[:0], injList...)
-				}
-			}
-			si := (cur*n + dst) * 2
-			tab.spans[si] = appendSpan(tab, injList)
-			if candsEqual(injList, arrList) {
-				tab.spans[si+1] = tab.spans[si]
-			} else {
-				tab.spans[si+1] = appendSpan(tab, arrList)
 			}
 		}
 	}
 	return tab, nil
 }
 
-func appendSpan(tab *Table, cands []Candidate) span {
-	start := int32(len(tab.cands))
-	tab.cands = append(tab.cands, cands...)
-	return span{start: start, end: int32(len(tab.cands))}
+// rowCompiler compiles rows [lo, hi) of a table: it writes those rows'
+// spans, relative to its own candidate arena, and owns every scratch
+// buffer it evaluates with, so workers share nothing but the relation
+// and disjoint rows of the span array.
+type rowCompiler struct {
+	alg       VCAlgorithm
+	t         *topology.Topology
+	n, vcs    int
+	invariant bool
+	spans     []span
+	lo, hi    int
+
+	// plain is set when alg is AsVC's adapter, which then evaluates into
+	// the worker-owned dirs scratch instead of a per-call buffer.
+	plain   singleVC
+	isPlain bool
+	dirs    []topology.Direction
+
+	raw                  []VirtualDirection
+	injList, arrList, pr []Candidate
+	cands                []Candidate
+	intern               rowIntern
+
+	err      error
+	panicked any
+}
+
+func newRowCompiler(alg VCAlgorithm, spans []span, lo, hi int) *rowCompiler {
+	t := alg.Topology()
+	w := &rowCompiler{
+		alg:       alg,
+		t:         t,
+		n:         t.Nodes(),
+		vcs:       alg.NumVCs(),
+		invariant: isArrivalInvariant(alg),
+		spans:     spans,
+		lo:        lo,
+		hi:        hi,
+		intern:    newRowIntern(2 * t.Nodes()),
+	}
+	w.plain, w.isPlain = alg.(singleVC)
+	return w
+}
+
+// run compiles the worker's rows, stopping at the first row that fails
+// verification, which it records in failRow unless a lower row is
+// there already, or before any row past failRow.
+func (w *rowCompiler) run(failRow *atomic.Int64) {
+	for cur := int64(w.lo); cur < int64(w.hi); cur++ {
+		if cur > failRow.Load() {
+			return
+		}
+		if w.row(topology.NodeID(cur)); w.err != nil {
+			for {
+				f := failRow.Load()
+				if cur >= f || failRow.CompareAndSwap(f, cur) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// row compiles both candidate lists of every (cur, dst) pair, interning
+// identical lists within the row.
+func (w *rowCompiler) row(cur topology.NodeID) {
+	w.intern.reset()
+	ndim2 := 2 * w.t.NumDims()
+	for dst := topology.NodeID(0); int(dst) < w.n; dst++ {
+		if dst == cur {
+			continue // headers at their destination eject; both spans stay empty
+		}
+		w.injList = w.compileCands(cur, dst, VCInjected, w.injList[:0])
+		if w.invariant {
+			w.arrList = w.compileCands(cur, dst, VCInPort{Dir: topology.Direction{}}, w.arrList[:0])
+		} else {
+			// Verify arrival invariance over every port a packet can
+			// actually arrive on: travelling d means it came over the
+			// channel paired with cur's d.Opposite() channel.
+			first := true
+			for di := 0; di < ndim2; di++ {
+				d := topology.DirectionFromIndex(di)
+				if !w.t.HasChannel(cur, d.Opposite()) {
+					continue
+				}
+				for vc := 0; vc < w.vcs; vc++ {
+					w.pr = w.compileCands(cur, dst, VCInPort{Dir: d, VC: vc}, w.pr[:0])
+					if first {
+						w.arrList = append(w.arrList[:0], w.pr...)
+						first = false
+					} else if !candsEqual(w.arrList, w.pr) {
+						w.err = fmt.Errorf("routing: %s depends on the arrival port at node %d (dst %d); not compilable",
+							w.alg.Name(), cur, dst)
+						return
+					}
+				}
+			}
+			if first {
+				// No network input can reach cur (isolated by faults);
+				// only the injected list matters.
+				w.arrList = append(w.arrList[:0], w.injList...)
+			}
+		}
+		si := (int(cur)*w.n + int(dst)) * 2
+		w.spans[si] = w.internSpan(w.injList)
+		w.spans[si+1] = w.internSpan(w.arrList)
+	}
+}
+
+// compileCands evaluates the relation once and applies the simulator's
+// candidate filter: virtual channel in range, channel existing and not
+// faulty. Profitability is computed unconditionally — the simulator
+// reads it only under misroute patience or metrics, so precomputing it
+// is behavior-neutral. A hop along dimension d changes only d's
+// coordinate, so it shortens the route exactly when it shrinks d's
+// shortest-way offset; that one-dimension test equals comparing the
+// full distances.
+func (w *rowCompiler) compileCands(cur, dst topology.NodeID, in VCInPort, out []Candidate) []Candidate {
+	if w.isPlain {
+		w.raw, w.dirs = w.plain.candidates(cur, dst, in, w.raw[:0], w.dirs)
+	} else {
+		w.raw = w.alg.CandidatesVC(cur, dst, in, w.raw[:0])
+	}
+	t := w.t
+	ndim := t.NumDims()
+	for _, vd := range w.raw {
+		if vd.VC < 0 || vd.VC >= w.vcs {
+			continue
+		}
+		if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
+			continue
+		}
+		next, _ := t.Neighbor(cur, vd.Dir)
+		dim := vd.Dir.Dim
+		out = append(out, Candidate{
+			Out:  OutIndex(cur, vd.Dir, vd.VC, ndim, w.vcs),
+			Dir:  uint8(vd.Dir.Index()),
+			VC:   uint8(vd.VC),
+			Prof: abs(t.MinDelta(next, dst, dim)) < abs(t.MinDelta(cur, dst, dim)),
+		})
+	}
+	return out
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// internSpan returns the span of an identical list already stored for
+// the current row, or appends list to the arena.
+func (w *rowCompiler) internSpan(list []Candidate) span {
+	slot := w.intern.lookup(list, w.cands)
+	if slot.full {
+		return slot.s
+	}
+	start := int32(len(w.cands))
+	w.cands = append(w.cands, list...)
+	slot.s, slot.full = span{start: start, end: int32(len(w.cands))}, true
+	return slot.s
+}
+
+// rowIntern is an open-addressing hash set of the candidate lists
+// stored for one row, keyed by list contents. Within a row every
+// candidate's Out follows from its Dir and VC, so the hash covers Dir,
+// VC and Prof only; equality is checked on the stored list. reset
+// empties just the slots the row used, so a worker reuses one set for
+// all its rows without allocating.
+type rowIntern struct {
+	slots []internSlot
+	used  []int
+}
+
+type internSlot struct {
+	s    span
+	full bool
+}
+
+// newRowIntern sizes the set for up to maxLists distinct lists per row
+// at a load factor of at most one half.
+func newRowIntern(maxLists int) rowIntern {
+	size := 1
+	for size < 2*maxLists {
+		size <<= 1
+	}
+	return rowIntern{slots: make([]internSlot, size)}
+}
+
+func (r *rowIntern) reset() {
+	for _, i := range r.used {
+		r.slots[i].full = false
+	}
+	r.used = r.used[:0]
+}
+
+// lookup returns the slot holding a list of arena equal to list, or
+// the empty slot where list belongs, which the caller fills.
+func (r *rowIntern) lookup(list, arena []Candidate) *internSlot {
+	h := uint64(14695981039346656037) // FNV-1a over the packed candidates
+	for _, c := range list {
+		v := uint64(c.Dir) | uint64(c.VC)<<8
+		if c.Prof {
+			v |= 1 << 16
+		}
+		h = (h ^ v) * 1099511628211
+	}
+	mask := uint64(len(r.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		slot := &r.slots[i]
+		if !slot.full {
+			r.used = append(r.used, int(i))
+			return slot
+		}
+		if candsEqual(arena[slot.s.start:slot.s.end], list) {
+			return slot
+		}
+	}
 }
 
 // tableEntry is one cached compilation: the table at its current epoch,

@@ -140,10 +140,3 @@ func TestNegativeFirstTorusUsesWraparound(t *testing.T) {
 		t.Errorf("east-edge node should offer both channels to the west (mesh and wraparound), got %v", cands)
 	}
 }
-
-func abs(a int) int {
-	if a < 0 {
-		return -a
-	}
-	return a
-}

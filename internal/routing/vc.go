@@ -83,17 +83,26 @@ func (s singleVC) ArrivalInvariant() bool {
 }
 
 func (s singleVC) CandidatesVC(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection) []VirtualDirection {
-	var ip InPort
-	if in.Injected {
-		ip = Injected
-	} else {
+	var tmp [16]topology.Direction
+	buf, _ = s.candidates(cur, dst, in, buf, tmp[:0])
+	return buf
+}
+
+// candidates is the adapter's one evaluation path. The wrapped
+// relation's plain directions go into the caller-owned dirs scratch,
+// returned for reuse: passed through the Algorithm interface, a
+// scratch array local to CandidatesVC escapes to the heap on every
+// call, so Compile hands each worker's own scratch in instead.
+func (s singleVC) candidates(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection, dirs []topology.Direction) ([]VirtualDirection, []topology.Direction) {
+	ip := Injected
+	if !in.Injected {
 		ip = Arrived(in.Dir)
 	}
-	var tmp [16]topology.Direction
-	for _, d := range s.Algorithm.Candidates(cur, dst, ip, tmp[:0]) {
+	dirs = s.Algorithm.Candidates(cur, dst, ip, dirs[:0])
+	for _, d := range dirs {
 		buf = append(buf, VirtualDirection{Dir: d})
 	}
-	return buf
+	return buf, dirs
 }
 
 // TorusDOR is minimal dimension-order routing on a k-ary n-cube USING

@@ -101,6 +101,12 @@ func (k Kind) String() string {
 
 // Topology is an n-dimensional mesh or k-ary n-cube.
 //
+// Every node's coordinate vector is computed once at construction and
+// kept node-major, so CoordOf — and with it HasChannel, Neighbor,
+// Delta, MinDelta and Distance — is a table load rather than a divide
+// and a modulo. The cache costs 4*Nodes()*NumDims() bytes and never
+// changes: faults disable channels, not nodes.
+//
 // The zero value is not usable; construct with NewMesh, NewTorus, or
 // NewHypercube.
 type Topology struct {
@@ -108,6 +114,8 @@ type Topology struct {
 	dims    []int
 	strides []int
 	nodes   int
+	// coords holds node v's coordinate along dim at v*len(dims)+dim.
+	coords []int32
 	// disabled marks faulty channels by dense channel ID.
 	disabled []bool
 	// faultEpoch increments whenever the fault set changes, so routing
@@ -170,6 +178,14 @@ func build(kind Kind, dims []int) *Topology {
 		strides: strides,
 		nodes:   n,
 	}
+	t.coords = make([]int32, n*len(dims))
+	for v := 0; v < n; v++ {
+		rem := v
+		for i, k := range dims {
+			t.coords[v*len(dims)+i] = int32(rem % k)
+			rem /= k
+		}
+	}
 	t.disabled = make([]bool, t.NumChannelIDs())
 	return t
 }
@@ -213,17 +229,16 @@ func (t *Topology) Coord(id NodeID) Coord {
 // CoordInto writes the coordinate vector of id into dst, which must have
 // length NumDims.
 func (t *Topology) CoordInto(id NodeID, dst Coord) {
-	v := int(id)
-	for i, k := range t.dims {
-		dst[i] = v % k
-		v /= k
+	nd := len(t.dims)
+	for i, x := range t.coords[int(id)*nd : int(id)*nd+nd] {
+		dst[i] = int(x)
 	}
 }
 
 // CoordOf returns the coordinate of node id along dimension dim without
 // allocating.
 func (t *Topology) CoordOf(id NodeID, dim int) int {
-	return int(id) / t.strides[dim] % t.dims[dim]
+	return int(t.coords[int(id)*len(t.dims)+dim])
 }
 
 // ID returns the node at coordinate c. It panics on a malformed
