@@ -336,10 +336,15 @@ func runSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Opt
 // pattern, algorithm set and load range.
 type FigureSpec struct {
 	ID, Title string
-	Topology  func() *topology.Topology
-	Pattern   func(*topology.Topology) traffic.Pattern
-	Algs      func(*topology.Topology) []routing.Algorithm
-	Loads     []float64
+	// Topology returns the figure's network. The Figures table's
+	// constructors are memoized — one instance per shape, served to
+	// every caller — so whatever Topology returns must stay pristine:
+	// never disable or enable a channel on it. A run that injects
+	// faults builds a topology of its own.
+	Topology func() *topology.Topology
+	Pattern  func(*topology.Topology) traffic.Pattern
+	Algs     func(*topology.Topology) []routing.Algorithm
+	Loads    []float64
 }
 
 // meshLoads and cubeLoads are the full sweep ranges, in flits/us/node,
@@ -365,48 +370,57 @@ func cubeAlgs(t *topology.Topology) []routing.Algorithm {
 	}
 }
 
+// The figures' topology constructors, memoized per shape so that
+// SharedTopology(f.Topology) finds the shared instance without
+// building a throwaway one.
+var (
+	mesh16x16 = sync.OnceValue(func() *topology.Topology { return topology.NewMesh(16, 16) })
+	cube8     = sync.OnceValue(func() *topology.Topology { return topology.NewHypercube(8) })
+	mesh8x8x4 = sync.OnceValue(func() *topology.Topology { return topology.NewMesh(8, 8, 4) })
+)
+
 // Figures lists the four simulation figures of Section 6 plus the
 // hypercube uniform-traffic companion the section's text discusses.
 var Figures = []FigureSpec{
 	{
 		ID: "fig13", Title: "Figure 13: uniform traffic in a 16x16 mesh",
-		Topology: func() *topology.Topology { return topology.NewMesh(16, 16) },
+		Topology: mesh16x16,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewUniform(t) },
 		Algs:     meshAlgs, Loads: meshLoads,
 	},
 	{
 		ID: "fig14", Title: "Figure 14: matrix-transpose traffic in a 16x16 mesh",
-		Topology: func() *topology.Topology { return topology.NewMesh(16, 16) },
+		Topology: mesh16x16,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewMeshTranspose(t) },
 		Algs:     meshAlgs, Loads: meshLoads,
 	},
 	{
 		ID: "fig15", Title: "Figure 15: matrix-transpose traffic in an 8-cube",
-		Topology: func() *topology.Topology { return topology.NewHypercube(8) },
+		Topology: cube8,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewHypercubeTranspose(t) },
 		Algs:     cubeAlgs, Loads: cubeLoads,
 	},
 	{
 		ID: "fig16", Title: "Figure 16: reverse-flip traffic in an 8-cube",
-		Topology: func() *topology.Topology { return topology.NewHypercube(8) },
+		Topology: cube8,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewReverseFlip(t) },
 		Algs:     cubeAlgs, Loads: cubeLoads,
 	},
 	{
 		ID: "fig13c", Title: "Section 6 (text): uniform traffic in an 8-cube",
-		Topology: func() *topology.Topology { return topology.NewHypercube(8) },
+		Topology: cube8,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewUniform(t) },
 		Algs:     cubeAlgs, Loads: cubeLoads,
 	},
 	{
 		ID: "mesh3d", Title: "Extension ([19]'s study): uniform traffic in an 8x8x4 mesh",
-		Topology: func() *topology.Topology { return topology.NewMesh(8, 8, 4) },
+		Topology: mesh8x8x4,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewUniform(t) },
 		Algs:     mesh3dAlgs, Loads: mesh3dLoads,
 	},
 	{
 		ID: "mesh3dc", Title: "Extension ([19]'s study): bit-complement traffic in an 8x8x4 mesh",
-		Topology: func() *topology.Topology { return topology.NewMesh(8, 8, 4) },
+		Topology: mesh8x8x4,
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewBitComplement(t) },
 		Algs:     mesh3dAlgs, Loads: mesh3dLoads,
 	},
@@ -463,7 +477,8 @@ var cacheNeutralOptionFields = map[string]string{
 // parameters ARE present: cached sweeps run without collectors carry
 // no summaries, so a metrics-enabled request must not reuse them (and
 // vice versa) — though for MetricsDir only the enabled-ness is keyed,
-// not the path dumps land at.
+// not the path dumps land at. An empty Loads list keys as an absent
+// one, since both run the figure's own loads.
 func cacheKey(f FigureSpec, o Options) string {
 	fields := map[string]any{"figure": f.ID}
 	v := reflect.ValueOf(o)
@@ -473,8 +488,11 @@ func cacheKey(f FigureSpec, o Options) string {
 			continue
 		}
 		val := v.Field(i).Interface()
-		if name == "MetricsDir" {
+		switch {
+		case name == "MetricsDir":
 			val = o.MetricsDir != ""
+		case name == "Loads" && len(o.Loads) == 0:
+			val = nil // an empty list runs the figure's own loads, as nil does
 		}
 		fields["opt:"+name] = val
 	}
@@ -498,19 +516,9 @@ func CacheKey(f FigureSpec, o Options) string { return cacheKey(f, o) }
 // Options.MetricsDir set it also writes the figure's metric dump
 // (<dir>/<id>.metrics.json), whether the sweeps were cached or fresh.
 func RunFigure(f FigureSpec, o Options) ([]Sweep, error) {
-	key := cacheKey(f, o)
-	sweepMu.Lock()
-	s, cached := sweepCache[key]
-	sweepMu.Unlock()
-	if !cached {
-		var err error
-		s, err = runFigure(f, o, make(chan struct{}, o.workers()))
-		if err != nil {
-			return nil, err
-		}
-		sweepMu.Lock()
-		sweepCache[key] = s
-		sweepMu.Unlock()
+	var s []Sweep
+	if err := RunFigureSet([]FigureSpec{f}, o, func(_ FigureSpec, got []Sweep) { s = got }); err != nil {
+		return nil, err
 	}
 	if o.MetricsDir != "" {
 		if err := WriteSweepMetrics(o.MetricsDir, f.ID, o, s); err != nil {
@@ -518,6 +526,70 @@ func RunFigure(f FigureSpec, o Options) ([]Sweep, error) {
 		}
 	}
 	return s, nil
+}
+
+// RunFigureSet runs a batch of figure specs through one shared worker
+// pool of o.workers() simulations — figures, algorithm lines and load
+// points all fan out over it — and invokes onDone serially as each
+// figure completes, in completion order. It is the one figure fan-out:
+// RunFigure and PrefetchFigures call it too. Cached figures complete
+// first, before anything runs (still through onDone), so a caller that
+// checkpoints completed figures can resume an interrupted batch and
+// see every figure exactly once. Figures that fail (including
+// cancellation via Options.Cancel) do not reach onDone; the first
+// error in figs order is returned after the whole batch has drained.
+//
+// onDone (which may be nil) is called with the pool's slots still busy
+// on other figures, so it should be brief (append a log record, update
+// a counter); it never needs its own locking.
+func RunFigureSet(figs []FigureSpec, o Options, onDone func(FigureSpec, []Sweep)) error {
+	var doneMu sync.Mutex
+	emit := func(f FigureSpec, s []Sweep) {
+		if onDone == nil {
+			return
+		}
+		doneMu.Lock()
+		defer doneMu.Unlock()
+		onDone(f, s)
+	}
+	keys := make([]string, len(figs))
+	var todo []int
+	for i, f := range figs {
+		keys[i] = cacheKey(f, o)
+		sweepMu.Lock()
+		s, cached := sweepCache[keys[i]]
+		sweepMu.Unlock()
+		if cached {
+			emit(f, s)
+			continue
+		}
+		todo = append(todo, i)
+	}
+	sem := make(chan struct{}, o.workers())
+	errs := make([]error, len(figs))
+	var wg sync.WaitGroup
+	for _, i := range todo {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sweeps, err := runFigure(figs[i], o, sem)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			sweepMu.Lock()
+			sweepCache[keys[i]] = sweeps
+			sweepMu.Unlock()
+			emit(figs[i], sweeps)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runFigure measures every algorithm line of a figure, uncached. The
@@ -558,46 +630,7 @@ func runFigure(f FigureSpec, o Options, sem chan struct{}) ([]Sweep, error) {
 // RunFigure calls return instantly. Results are bit-identical to
 // sequential RunFigure calls.
 func PrefetchFigures(o Options, figs ...FigureSpec) error {
-	type pending struct {
-		i   int
-		f   FigureSpec
-		key string
-	}
-	var todo []pending
-	for i, f := range figs {
-		key := cacheKey(f, o)
-		sweepMu.Lock()
-		_, cached := sweepCache[key]
-		sweepMu.Unlock()
-		if cached {
-			continue
-		}
-		todo = append(todo, pending{i, f, key})
-	}
-	sem := make(chan struct{}, o.workers())
-	errs := make([]error, len(figs))
-	var wg sync.WaitGroup
-	for _, p := range todo {
-		wg.Add(1)
-		go func(p pending) {
-			defer wg.Done()
-			sweeps, err := runFigure(p.f, o, sem)
-			if err != nil {
-				errs[p.i] = err
-				return
-			}
-			sweepMu.Lock()
-			sweepCache[p.key] = sweeps
-			sweepMu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return RunFigureSet(figs, o, nil)
 }
 
 // WriteFigure renders a figure's series in the paper's axes: average

@@ -32,7 +32,7 @@ func runSens14(o Options, w io.Writer) error {
 	// relation) pair, and nothing here touches the fault set, so every
 	// probe — across all three policies — shares one topology and one
 	// compiled table per relation.
-	topo := SharedTopology(func() *topology.Topology { return topology.NewMesh(16, 16) })
+	topo := SharedTopology(mesh16x16)
 	xyAlg := SharedAlgorithm(topo, func(t *topology.Topology) routing.Algorithm { return routing.NewDimensionOrder(t) })
 	nfAlg := SharedAlgorithm(topo, func(t *topology.Topology) routing.Algorithm { return routing.NewNegativeFirst(t) })
 	pat := traffic.NewMeshTranspose(topo)

@@ -10,8 +10,8 @@ import (
 // point: a figure sweep compiles at most one route table per distinct
 // relation — never one per leaf — and a second sweep of the same figure
 // (fresh seed, so the sweep result cache cannot serve it) compiles
-// nothing at all, because the shared instances and their pinned tables
-// persist across sweeps.
+// nothing at all, because the shared instances, and the tables kept on
+// them, persist across sweeps.
 func TestSweepCompileSharing(t *testing.T) {
 	f, ok := FigureByID("fig13")
 	if !ok {
@@ -39,6 +39,23 @@ func TestSweepCompileSharing(t *testing.T) {
 	}
 	if d := routing.CompileCount() - c1; d != 0 {
 		t.Errorf("second sweep of the same figure compiled %d tables, want 0 (shared across sweeps)", d)
+	}
+}
+
+// TestSharedTopologyHitBuildsNothing: the Figures table's topology
+// constructors are memoized per shape, so a second
+// SharedTopology(f.Topology) builds no topology — the constructor hands
+// back the instance it built the first time, never a throwaway.
+func TestSharedTopologyHitBuildsNothing(t *testing.T) {
+	for _, f := range Figures {
+		shared := SharedTopology(f.Topology)
+		built := f.Topology()
+		if again := SharedTopology(f.Topology); again != shared {
+			t.Errorf("%s: second SharedTopology returned %p, want the shared %p", f.ID, again, shared)
+		}
+		if f.Topology() != built {
+			t.Errorf("%s: the topology constructor built a fresh instance on a repeat call", f.ID)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,8 +91,6 @@ type span struct{ start, end int32 }
 // for concurrent readers; it is valid only at the fault epoch it was
 // compiled at (see Epoch and TableFor).
 type Table struct {
-	alg   VCAlgorithm
-	topo  *topology.Topology
 	epoch int
 	n     int
 	// spans holds two entries per (cur, dst) pair at (cur*n+dst)*2:
@@ -102,9 +99,6 @@ type Table struct {
 	spans []span
 	cands []Candidate
 }
-
-// Algorithm returns the relation the table was compiled from.
-func (t *Table) Algorithm() VCAlgorithm { return t.alg }
 
 // Epoch returns the topology fault epoch the table was compiled at.
 // A table is stale once Topology.FaultEpoch moves past it.
@@ -183,8 +177,6 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 		return nil, fmt.Errorf("routing: %s: direction index does not fit the packed candidate", alg.Name())
 	}
 	tab := &Table{
-		alg:   alg,
-		topo:  t,
 		epoch: t.FaultEpoch(),
 		n:     n,
 		spans: make([]span, n*n*2),
@@ -466,125 +458,57 @@ func (r *rowIntern) lookup(list, arena []Candidate) *internSlot {
 	}
 }
 
-// tableEntry is one cached compilation: the table at its current epoch,
-// or a sticky failure (a relation that is not compilable at one epoch
-// will not become compilable at another). pins counts PinTable holds
-// and is guarded by tableCacheMu (not e.mu), like the cache map itself.
-type tableEntry struct {
+// tableSlot holds the table compiled from the relation that embeds it
+// (through base): the table at its fault epoch, or a sticky failure (a
+// relation that is not compilable at one epoch will not become
+// compilable at another). It lives and dies with the relation, so no
+// process-wide cache, size cap or eviction is needed. A type that
+// embeds a relation of this package would share that relation's slot;
+// none does.
+type tableSlot struct {
 	mu     sync.Mutex
 	table  *Table
 	failed bool
-	hooked bool
-	pins   int
 }
 
-// maxCachedTables caps the process-wide table cache. Tables are a few
-// megabytes on the largest figure topologies, and test suites churn
-// through many short-lived algorithm instances; beyond the cap an
-// arbitrary entry is evicted (its topology hook stays registered but
-// only clears a dead entry).
-const maxCachedTables = 32
-
-var (
-	tableCacheMu sync.Mutex
-	tableCache   = map[VCAlgorithm]*tableEntry{}
-)
+func (b *base) tableSlot() *tableSlot { return &b.table }
 
 // TableFor returns the compiled routing table for alg at its topology's
-// current fault epoch, compiling on first use and caching per algorithm
-// value. Repeated calls — e.g. one simulation per load point sharing
-// one algorithm instance — reuse the compilation. It returns nil when
-// alg is not compilable (arrival-dependent relations, oversized
-// topologies, algorithm values that cannot be map keys); callers fall
-// back to direct CandidatesVC evaluation.
+// current fault epoch, compiling on first use and keeping the table on
+// the relation itself, so repeated calls — e.g. one simulation per load
+// point sharing one relation instance — reuse the compilation. After
+// the topology's fault set changes, the stale table is replaced by a
+// fresh compilation on the next call. It returns nil when alg is not
+// compilable (arrival-dependent relations, oversized topologies);
+// callers fall back to direct CandidatesVC evaluation.
 //
-// When the topology's fault set changes, the cached table is dropped by
-// the fault-change hook and recompiled at the new epoch on the next
-// call.
+// The table is kept for this package's relations and for AsVC's view
+// of them. A relation defined elsewhere has nowhere to keep one and is
+// compiled on every call.
 func TableFor(alg VCAlgorithm) *Table {
-	if alg == nil || !reflect.TypeOf(alg).Comparable() {
+	var owner any = alg
+	if s, ok := alg.(singleVC); ok {
+		owner = s.Algorithm
+	}
+	o, ok := owner.(interface{ tableSlot() *tableSlot })
+	if !ok {
+		tab, _ := Compile(alg) // nil when not compilable, as below
+		return tab
+	}
+	s := o.tableSlot()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed {
 		return nil
 	}
-	tableCacheMu.Lock()
-	e := cacheEntryLocked(alg)
-	tableCacheMu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.failed {
-		return nil
-	}
-	topo := alg.Topology()
-	if e.table != nil && e.table.epoch == topo.FaultEpoch() {
-		return e.table
-	}
-	if !e.hooked {
-		e.hooked = true
-		// Drop the stale table as soon as the fault set changes; the
-		// epoch check above is the correctness mechanism, the hook just
-		// releases the memory eagerly. notifyFaultChange runs hooks
-		// outside the topology's own lock, so taking e.mu here is safe.
-		topo.OnFaultChange(func() {
-			e.mu.Lock()
-			e.table = nil
-			e.mu.Unlock()
-		})
+	if s.table != nil && s.table.epoch == alg.Topology().FaultEpoch() {
+		return s.table
 	}
 	tab, err := Compile(alg)
 	if err != nil {
-		e.failed = true
+		s.table, s.failed = nil, true
 		return nil
 	}
-	e.table = tab
+	s.table = tab
 	return tab
-}
-
-// cacheEntryLocked returns alg's cache entry, creating it (and evicting
-// an unpinned entry if the cache is at its cap) when absent. Callers
-// hold tableCacheMu. Pinned entries never count as eviction victims;
-// when every entry is pinned the cache simply grows past the cap — the
-// cap protects against churn through short-lived algorithm instances,
-// while pins mark the long-lived shared relations the sweep layer
-// deliberately keeps.
-func cacheEntryLocked(alg VCAlgorithm) *tableEntry {
-	e, ok := tableCache[alg]
-	if !ok {
-		if len(tableCache) >= maxCachedTables {
-			for k, v := range tableCache {
-				if v.pins > 0 {
-					continue
-				}
-				delete(tableCache, k)
-				break
-			}
-		}
-		e = &tableEntry{}
-		tableCache[alg] = e
-	}
-	return e
-}
-
-// PinTable marks alg's compiled-table cache entry as exempt from the
-// size-cap eviction, so a long-lived shared relation (internal/exp's
-// cross-leaf compile cache) never loses its table to the arbitrary
-// eviction that protects against test-suite churn. It does not compile
-// anything — the first TableFor call still does that. The returned
-// release drops the pin (idempotent); pinning a non-comparable relation
-// is a no-op, matching TableFor's refusal to cache it.
-func PinTable(alg VCAlgorithm) (release func()) {
-	if alg == nil || !reflect.TypeOf(alg).Comparable() {
-		return func() {}
-	}
-	tableCacheMu.Lock()
-	e := cacheEntryLocked(alg)
-	e.pins++
-	tableCacheMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			tableCacheMu.Lock()
-			e.pins--
-			tableCacheMu.Unlock()
-		})
-	}
 }

@@ -19,7 +19,7 @@ import (
 func referenceCompile(alg VCAlgorithm) (*Table, error) {
 	t := alg.Topology()
 	n, vcs, ndim := t.Nodes(), alg.NumVCs(), t.NumDims()
-	tab := &Table{alg: alg, topo: t, epoch: t.FaultEpoch(), n: n, spans: make([]span, n*n*2)}
+	tab := &Table{epoch: t.FaultEpoch(), n: n, spans: make([]span, n*n*2)}
 	eval := func(cur, dst topology.NodeID, in VCInPort) []Candidate {
 		var out []Candidate
 		base := t.Distance(cur, dst)

@@ -1,7 +1,10 @@
 package routing
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"turnmodel/internal/core"
 	"turnmodel/internal/topology"
@@ -318,6 +321,75 @@ func TestTableForCacheAndFaultInvalidation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTableKeptWhileRelationHeld: a relation's table lives on the
+// relation, so compiling tables for many other relations — more than
+// any cache capacity — never costs a held relation its table.
+func TestTableKeptWhileRelationHeld(t *testing.T) {
+	held := AsVC(NewDimensionOrder(topology.NewMesh(2, 2)))
+	tab := TableFor(held)
+	if tab == nil {
+		t.Fatal("TableFor declined a compilable relation")
+	}
+	for i := 0; i < 100; i++ {
+		if TableFor(AsVC(NewDimensionOrder(topology.NewMesh(2, 2)))) == nil {
+			t.Fatal("TableFor declined a compilable relation")
+		}
+	}
+	c := CompileCount()
+	if got := TableFor(held); got != tab || CompileCount() != c {
+		t.Errorf("held relation's table was recompiled (got %p, want %p)", got, tab)
+	}
+}
+
+// TestTableForConcurrentCallers: simulations sharing one relation call
+// TableFor at once; they must all get the one table, compiled once.
+func TestTableForConcurrentCallers(t *testing.T) {
+	alg := AsVC(NewWestFirst(topology.NewMesh(6, 6)))
+	c := CompileCount()
+	tabs := make([]*Table, 8)
+	var wg sync.WaitGroup
+	for i := range tabs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tabs[i] = TableFor(alg)
+		}(i)
+	}
+	wg.Wait()
+	for _, tab := range tabs {
+		if tab == nil || tab != tabs[0] {
+			t.Fatalf("concurrent callers got different tables: %p vs %p", tab, tabs[0])
+		}
+	}
+	if d := CompileCount() - c; d != 1 {
+		t.Errorf("%d compilations for one relation, want 1", d)
+	}
+}
+
+// TestTableCollectedWithRelation: nothing outside a relation keeps its
+// table, so once the relation is unreachable the garbage collector
+// reclaims the table too. This is the memory bound for processes that
+// churn through short-lived relations.
+func TestTableCollectedWithRelation(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		tab := TableFor(AsVC(NewNegativeFirst(topology.NewMesh(4, 4))))
+		if tab == nil {
+			t.Fatal("TableFor declined a compilable relation")
+		}
+		runtime.SetFinalizer(tab, func(*Table) { close(collected) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the table of an unreachable relation was not collected")
 }
 
 // TestCandidateOutIndex: the packed output index matches the canonical

@@ -60,10 +60,12 @@ func CandidateList(a Algorithm, cur, dst topology.NodeID, in InPort) []topology.
 	return a.Candidates(cur, dst, in, nil)
 }
 
-// base carries the topology shared by all algorithm implementations.
+// base carries the topology shared by all algorithm implementations,
+// and the route table compiled from the relation (see TableFor).
 type base struct {
-	topo *topology.Topology
-	name string
+	topo  *topology.Topology
+	name  string
+	table tableSlot
 }
 
 func (b *base) Name() string                 { return b.name }

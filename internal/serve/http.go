@@ -125,11 +125,25 @@ type submitResponse struct {
 	ResultURL string `json:"result_url"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest decodes a POST /v1/jobs body: exactly one JSON
+// object. Unknown fields and trailing data are rejected, so a misspelt
+// parameter or a second request never silently runs as the default.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "bad job body: "+err.Error())
 		return
 	}

@@ -351,6 +351,14 @@ func TestBadRequests(t *testing.T) {
 	if raw.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", raw.StatusCode)
 	}
+	trailing, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"figure":"fig13","quick":true} {"figure":"fig14"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing.Body.Close()
+	if trailing.StatusCode != http.StatusBadRequest {
+		t.Errorf("body with trailing data = %d, want 400", trailing.StatusCode)
+	}
 	missing, err := http.Get(ts.URL + "/v1/jobs/deadbeef")
 	if err != nil {
 		t.Fatal(err)

@@ -51,29 +51,3 @@ func (b bitset) forEach(fn func(i int32)) {
 		}
 	}
 }
-
-// forEachIn calls fn for every set bit i with lo <= i < hi, in
-// ascending order: forEach restricted to a window, with the first and
-// last words masked to the window's edges. Like forEach, it reads each
-// word once when that word's pass starts.
-func (b bitset) forEachIn(lo, hi int32, fn func(i int32)) {
-	if lo >= hi {
-		return
-	}
-	wlo, whi := int(lo>>6), int((hi-1)>>6)
-	for w := wlo; w <= whi; w++ {
-		word := b[w]
-		if w == wlo {
-			word &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if w == whi {
-			if rem := uint(hi) & 63; rem != 0 {
-				word &= 1<<rem - 1
-			}
-		}
-		for word != 0 {
-			fn(int32(w<<6 + bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-}

@@ -5,67 +5,6 @@ import (
 	"testing"
 )
 
-// TestBitsetForEachIn: the window masking at both ends must be exact
-// on every word-boundary class. Each case is checked against a
-// reference scan over get().
-func TestBitsetForEachIn(t *testing.T) {
-	const n = 300 // several words plus a partial tail word
-	b := newBitset(n)
-	// A pattern that straddles every boundary class: word edges, both
-	// sides of them, mid-word runs, and the last partial word.
-	for _, i := range []int32{0, 1, 62, 63, 64, 65, 100, 126, 127, 128, 191, 192, 255, 256, 298, 299} {
-		b.set(i)
-	}
-	ref := func(lo, hi int32) []int32 {
-		var out []int32
-		for i := lo; i < hi; i++ {
-			if i >= 0 && int(i) < n && b.get(i) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	cases := []struct {
-		name   string
-		lo, hi int32
-	}{
-		{"full-range", 0, n},
-		{"empty-window", 100, 100},
-		{"inverted-window", 200, 100},
-		{"single-bit-window", 63, 64},
-		{"single-clear-window", 40, 41},
-		{"mid-word-both-ends", 10, 50},
-		{"mid-word-across-boundary", 62, 66},
-		{"aligned-lo", 64, 100},
-		{"aligned-hi", 100, 128},
-		{"aligned-both", 64, 192},
-		{"word-exact", 128, 192},
-		{"tail-partial-word", 256, n},
-		{"hi-at-last-bit", 290, 299},
-		{"hi-past-last-set", 299, n},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var got []int32
-			b.forEachIn(tc.lo, tc.hi, func(i int32) { got = append(got, i) })
-			want := ref(tc.lo, tc.hi)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("forEachIn(%d, %d) = %v, want %v", tc.lo, tc.hi, got, want)
-			}
-		})
-	}
-	// Disjoint windows must tile exactly to a full enumeration.
-	var tiled []int32
-	for _, edge := range [][2]int32{{0, 37}, {37, 64}, {64, 65}, {65, 192}, {192, n}} {
-		b.forEachIn(edge[0], edge[1], func(i int32) { tiled = append(tiled, i) })
-	}
-	var full []int32
-	b.forEach(func(i int32) { full = append(full, i) })
-	if !reflect.DeepEqual(tiled, full) {
-		t.Errorf("tiled windows enumerate %v, full scan %v", tiled, full)
-	}
-}
-
 // TestBitsetAppendTo: appendTo is forEach flattened into a slice
 // append — the multi-VC movement seeding uses it every cycle, so it
 // must agree with forEach exactly and respect the destination's

@@ -26,7 +26,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
@@ -62,17 +61,6 @@ func (p OutputPolicy) String() string {
 		return "highest-dimension"
 	default:
 		return "random"
-	}
-}
-
-func (p OutputPolicy) choose(cands []topology.Direction, rng *rand.Rand) topology.Direction {
-	switch p {
-	case LowestDimension:
-		return cands[0] // candidates arrive in ascending dimension order
-	case HighestDimension:
-		return cands[len(cands)-1]
-	default:
-		return cands[rng.Intn(len(cands))]
 	}
 }
 

@@ -12,7 +12,6 @@ package topology
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // NodeID identifies a node. IDs are dense in [0, Nodes()).
@@ -119,15 +118,8 @@ type Topology struct {
 	// disabled marks faulty channels by dense channel ID.
 	disabled []bool
 	// faultEpoch increments whenever the fault set changes, so routing
-	// layers can invalidate reachability caches.
+	// layers can tell stale reachability caches and route tables.
 	faultEpoch int
-
-	// hookMu guards onFault. Registrations may race (e.g. several
-	// simulations compiling route tables for algorithms that share one
-	// topology), while fault changes themselves happen on whichever
-	// goroutine drives the run.
-	hookMu  sync.Mutex
-	onFault []func()
 }
 
 // NewMesh returns an n-dimensional mesh with the given dimension lengths,
@@ -389,7 +381,6 @@ func (t *Topology) DisableChannel(c Channel) error {
 	}
 	t.disabled[t.ChannelID(c)] = true
 	t.faultEpoch++
-	t.notifyFaultChange()
 	return nil
 }
 
@@ -403,7 +394,6 @@ func (t *Topology) EnableChannel(c Channel) error {
 	}
 	t.disabled[t.ChannelID(c)] = false
 	t.faultEpoch++
-	t.notifyFaultChange()
 	return nil
 }
 
@@ -423,32 +413,9 @@ func (t *Topology) checkChannel(c Channel) error {
 	return nil
 }
 
-// OnFaultChange registers fn to be called after every DisableChannel or
-// EnableChannel, once the fault epoch has already advanced. Derived
-// caches (e.g. compiled routing tables) use it to drop stale state
-// eagerly instead of holding it until the next epoch comparison.
-// Callbacks cannot be unregistered; keep them small and idempotent.
-func (t *Topology) OnFaultChange(fn func()) {
-	t.hookMu.Lock()
-	t.onFault = append(t.onFault, fn)
-	t.hookMu.Unlock()
-}
-
-// notifyFaultChange invokes the registered callbacks outside the hook
-// lock, so a callback may itself register further hooks or take locks
-// that are held while registering.
-func (t *Topology) notifyFaultChange() {
-	t.hookMu.Lock()
-	hooks := t.onFault
-	t.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
 // FaultEpoch increments whenever DisableChannel or EnableChannel is
-// called. Derived caches (e.g. turn-graph reachability) use it to
-// detect stale state.
+// called. Derived caches (turn-graph reachability, compiled route
+// tables) compare it to detect stale state.
 func (t *Topology) FaultEpoch() int { return t.faultEpoch }
 
 // Enabled reports whether channel c exists and is not faulty.

@@ -217,36 +217,6 @@ func TestFaults(t *testing.T) {
 	}
 }
 
-func TestOnFaultChange(t *testing.T) {
-	m := NewMesh(4, 4)
-	ch := Channel{From: m.ID(Coord{1, 1}), Dir: Direction{Dim: 0, Pos: true}}
-	calls := 0
-	var epochSeen int
-	m.OnFaultChange(func() {
-		calls++
-		// The epoch must already have advanced when the hook fires, so a
-		// cache that recompiles inside the callback sees fresh state.
-		epochSeen = m.FaultEpoch()
-	})
-	m.DisableChannel(ch)
-	if calls != 1 {
-		t.Fatalf("hook fired %d times after one disable, want 1", calls)
-	}
-	if epochSeen != m.FaultEpoch() {
-		t.Errorf("hook saw epoch %d, current is %d", epochSeen, m.FaultEpoch())
-	}
-	m.EnableChannel(ch)
-	if calls != 2 {
-		t.Errorf("hook fired %d times after disable+enable, want 2", calls)
-	}
-	// A second hook and the first must both fire.
-	m.OnFaultChange(func() { calls += 10 })
-	m.DisableChannel(ch)
-	if calls != 13 {
-		t.Errorf("calls = %d after second hook fired, want 13", calls)
-	}
-}
-
 func TestDisableNonexistentChannelErrors(t *testing.T) {
 	m := NewMesh(4, 4)
 	epoch := m.FaultEpoch()
