@@ -95,7 +95,7 @@ func main() {
 				RetryBackoff:      *backoff,
 				CheckInvariants:   *check,
 			}
-			var vcalg routing.VCAlgorithm
+			vcalg := routing.AsVC(alg)
 			switch class {
 			case "wormhole":
 			case "multivc":
@@ -123,11 +123,7 @@ func main() {
 			// Connectivity damage of the schedule's final fault set: replay
 			// the plan to its end on a fresh driver, count the pairs the
 			// relation cannot serve, then heal the topology again.
-			count := func() int { return routing.UnroutablePairs(alg) }
-			if vcalg != nil {
-				count = func() int { return routing.UnroutablePairsVC(vcalg) }
-			}
-			unroutable, err := unroutableAtEnd(t, plan, *cycles, count)
+			unroutable, err := unroutableAtEnd(t, plan, *cycles, vcalg)
 			fatal(err)
 
 			deadlock := "no"
@@ -171,10 +167,10 @@ func main() {
 	fmt.Println("all campaigns conserved packets and passed invariant checks")
 }
 
-// unroutableAtEnd applies plan's full schedule to t, calls count to
-// tally the relation's unroutable ordered pairs under the resulting
+// unroutableAtEnd applies plan's full schedule to t, counts alg's
+// unroutable ordered pairs (routing.UnroutablePairsVC) under the resulting
 // fault set, and restores the topology to health.
-func unroutableAtEnd(t *topology.Topology, plan *fault.Plan, horizon int64, count func() int) (int, error) {
+func unroutableAtEnd(t *topology.Topology, plan *fault.Plan, horizon int64, alg routing.VCAlgorithm) (int, error) {
 	drv, err := fault.NewDriver(t, plan)
 	if err != nil {
 		return 0, err
@@ -182,7 +178,7 @@ func unroutableAtEnd(t *topology.Topology, plan *fault.Plan, horizon int64, coun
 	if _, err := drv.Advance(horizon); err != nil {
 		return 0, err
 	}
-	n := count()
+	n := routing.UnroutablePairsVC(alg)
 	if err := drv.Reset(); err != nil {
 		return 0, err
 	}

@@ -22,12 +22,16 @@ import (
 )
 
 // Graph is a channel dependency graph over a topology's dense channel ID
-// space.
+// space. Step 1 of the turn model treats the v virtual channels of a
+// physical channel as v virtual directions, so the graph has one vertex
+// per (channel, virtual channel) pair, vertex ChannelID(c)*v + vc; the
+// graph of a single-channel relation has one vertex per channel.
 type Graph struct {
 	topo *topology.Topology
-	// adj[c1] lists channel IDs c2 with an edge c1 -> c2, deduplicated.
+	vcs  int
+	// adj[u] lists vertices w with an edge u -> w, deduplicated.
 	adj [][]int32
-	// present marks channel IDs that exist in the topology.
+	// present marks vertices whose channel exists in the topology.
 	present []bool
 	edges   int
 }
@@ -38,96 +42,48 @@ func (g *Graph) Topology() *topology.Topology { return g.topo }
 // NumEdges returns the number of distinct dependency edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// Edges calls fn for every dependency edge.
+// Edges calls fn for every dependency edge, naming the physical
+// channels of its ends.
 func (g *Graph) Edges(fn func(from, to topology.Channel)) {
-	for c1, outs := range g.adj {
-		for _, c2 := range outs {
-			fn(g.topo.ChannelFromID(c1), g.topo.ChannelFromID(int(c2)))
+	for u, outs := range g.adj {
+		for _, w := range outs {
+			fn(g.vchannel(u).Ch, g.vchannel(int(w)).Ch)
 		}
 	}
 }
 
-func newGraph(t *topology.Topology) *Graph {
-	n := t.NumChannelIDs()
-	g := &Graph{topo: t, adj: make([][]int32, n), present: make([]bool, n)}
-	t.Channels(func(c topology.Channel) { g.present[t.ChannelID(c)] = true })
+func newGraph(t *topology.Topology, vcs int) *Graph {
+	n := t.NumChannelIDs() * vcs
+	g := &Graph{topo: t, vcs: vcs, adj: make([][]int32, n), present: make([]bool, n)}
+	t.Channels(func(c topology.Channel) {
+		for vc := 0; vc < vcs; vc++ {
+			g.present[t.ChannelID(c)*vcs+vc] = true
+		}
+	})
 	return g
+}
+
+func (g *Graph) vchannel(id int) VChannel {
+	return VChannel{Ch: g.topo.ChannelFromID(id / g.vcs), VC: id % g.vcs}
+}
+
+// addEdge records u -> w once. Edge lists stay short (at most one per
+// virtual direction), so linear-scan deduplication is cheap and avoids
+// per-pair bitmaps.
+func (g *Graph) addEdge(u, w int) {
+	for _, e := range g.adj[u] {
+		if int(e) == w {
+			return
+		}
+	}
+	g.adj[u] = append(g.adj[u], int32(w))
+	g.edges++
 }
 
 // BuildCDG constructs the channel dependency graph of a routing
-// algorithm. For every destination it walks the set of channels a packet
-// bound for that destination can occupy (starting from injection at any
-// source) and records, for each occupied channel entering a node, the
-// output channels the relation permits next.
+// algorithm: the graph BuildVCCDG builds for its one-channel view.
 func BuildCDG(alg routing.Algorithm) *Graph {
-	t := alg.Topology()
-	g := newGraph(t)
-	n := t.NumChannelIDs()
-	// Edge lists stay short (at most 2n per channel), so linear-scan
-	// deduplication is cheap and avoids per-pair bitmaps.
-	addEdge := func(c1, c2 int) {
-		for _, e := range g.adj[c1] {
-			if int(e) == c2 {
-				return
-			}
-		}
-		g.adj[c1] = append(g.adj[c1], int32(c2))
-		g.edges++
-	}
-
-	reachable := make([]bool, n)
-	queue := make([]int, 0, n)
-	var buf []topology.Direction
-	for dst := topology.NodeID(0); dst < topology.NodeID(t.Nodes()); dst++ {
-		for i := range reachable {
-			reachable[i] = false
-		}
-		queue = queue[:0]
-		// Seed: channels a packet to dst can take from injection at any
-		// source node.
-		for src := topology.NodeID(0); src < topology.NodeID(t.Nodes()); src++ {
-			if src == dst {
-				continue
-			}
-			buf = alg.Candidates(src, dst, routing.Injected, buf[:0])
-			for _, d := range buf {
-				ch := topology.Channel{From: src, Dir: d}
-				if !t.Enabled(ch) {
-					continue
-				}
-				id := t.ChannelID(ch)
-				if !reachable[id] {
-					reachable[id] = true
-					queue = append(queue, id)
-				}
-			}
-		}
-		// Propagate: from each reachable channel, the permitted next
-		// channels are both dependency edges and newly reachable.
-		for len(queue) > 0 {
-			id := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			c1 := t.ChannelFromID(id)
-			v := t.ChannelTo(c1)
-			if v == dst {
-				continue
-			}
-			buf = alg.Candidates(v, dst, routing.Arrived(c1.Dir), buf[:0])
-			for _, d := range buf {
-				ch := topology.Channel{From: v, Dir: d}
-				if !t.Enabled(ch) {
-					continue
-				}
-				id2 := t.ChannelID(ch)
-				addEdge(id, id2)
-				if !reachable[id2] {
-					reachable[id2] = true
-					queue = append(queue, id2)
-				}
-			}
-		}
-	}
-	return g
+	return BuildVCCDG(routing.AsVC(alg))
 }
 
 // BuildTurnCDG constructs the channel dependency graph induced by a turn
@@ -141,7 +97,7 @@ func BuildTurnCDG(t *topology.Topology, set *core.Set) *Graph {
 	if set.Dims() != t.NumDims() {
 		panic(fmt.Sprintf("deadlock: turn set has %d dims, topology has %d", set.Dims(), t.NumDims()))
 	}
-	g := newGraph(t)
+	g := newGraph(t, 1)
 	t.Channels(func(c1 topology.Channel) {
 		if !t.Enabled(c1) {
 			return
@@ -167,15 +123,16 @@ func BuildTurnCDG(t *topology.Topology, set *core.Set) *Graph {
 // FindCycle returns a cycle in the graph as a sequence of channels
 // (each waiting on the next, the last waiting on the first), or nil if
 // the graph is acyclic. Acyclicity of the CDG is Dally and Seitz's
-// necessary and sufficient condition for deadlock freedom.
+// necessary and sufficient condition for deadlock freedom. The cycle
+// names physical channels; FindVCCycle keeps the virtual ones.
 func (g *Graph) FindCycle() []topology.Channel {
-	ids := findCycleIDs(g.adj, g.present)
-	if ids == nil {
+	vcyc := g.FindVCCycle()
+	if vcyc == nil {
 		return nil
 	}
-	out := make([]topology.Channel, len(ids))
-	for i, id := range ids {
-		out[i] = g.topo.ChannelFromID(id)
+	out := make([]topology.Channel, len(vcyc))
+	for i, v := range vcyc {
+		out[i] = v.Ch
 	}
 	return out
 }

@@ -23,73 +23,46 @@ type VChannel struct {
 
 func (v VChannel) String() string { return fmt.Sprintf("%v/vc%d", v.Ch, v.VC) }
 
-// VCGraph is a dependency graph over virtual channels.
-type VCGraph struct {
-	topo    *topology.Topology
-	vcs     int
-	adj     [][]int32
-	present []bool
-	edges   int
-}
-
-// NumEdges returns the number of dependency edges.
-func (g *VCGraph) NumEdges() int { return g.edges }
-
-func (g *VCGraph) id(c topology.Channel, vc int) int {
-	return g.topo.ChannelID(c)*g.vcs + vc
-}
-
-func (g *VCGraph) vchannel(id int) VChannel {
-	return VChannel{Ch: g.topo.ChannelFromID(id / g.vcs), VC: id % g.vcs}
-}
-
 // BuildVCCDG constructs the virtual channel dependency graph of a
-// VC-aware routing relation, by the same feasible-state propagation as
-// BuildCDG.
-func BuildVCCDG(alg routing.VCAlgorithm) *VCGraph {
+// VC-aware routing relation by feasible-state propagation. For every
+// destination it walks the set of virtual channels a packet bound for
+// that destination can occupy, starting from injection at any source,
+// and records, for each occupied virtual channel entering a node, the
+// virtual channels the relation permits next. Candidates pass the same
+// routing.Evaluator filter the simulator routes with: virtual channel
+// in range, channel existing and not faulty.
+func BuildVCCDG(alg routing.VCAlgorithm) *Graph {
 	t := alg.Topology()
-	v := alg.NumVCs()
-	n := t.NumChannelIDs() * v
-	g := &VCGraph{topo: t, vcs: v, adj: make([][]int32, n), present: make([]bool, n)}
-	t.Channels(func(c topology.Channel) {
-		for vc := 0; vc < v; vc++ {
-			g.present[g.id(c, vc)] = true
-		}
-	})
-	addEdge := func(c1, c2 int) {
-		for _, e := range g.adj[c1] {
-			if int(e) == c2 {
-				return
-			}
-		}
-		g.adj[c1] = append(g.adj[c1], int32(c2))
-		g.edges++
+	vcs := alg.NumVCs()
+	g := newGraph(t, vcs)
+	ndirs := 2 * t.NumDims()
+	vertex := func(from topology.NodeID, c routing.Candidate) int {
+		return (int(from)*ndirs+int(c.Dir))*vcs + int(c.VC)
 	}
-	reachable := make([]bool, n)
-	queue := make([]int, 0, n)
-	var buf []routing.VirtualDirection
+	ev := routing.NewEvaluator(alg)
+	reachable := make([]bool, len(g.adj))
+	queue := make([]int, 0, len(g.adj))
+	var cands []routing.Candidate
 	for dst := topology.NodeID(0); dst < topology.NodeID(t.Nodes()); dst++ {
-		for i := range reachable {
-			reachable[i] = false
-		}
+		clear(reachable)
 		queue = queue[:0]
+		// Seed: virtual channels a packet to dst can take from
+		// injection at any source node.
 		for src := topology.NodeID(0); src < topology.NodeID(t.Nodes()); src++ {
 			if src == dst {
 				continue
 			}
-			buf = alg.CandidatesVC(src, dst, routing.VCInjected, buf[:0])
-			for _, vd := range buf {
-				ch := topology.Channel{From: src, Dir: vd.Dir}
-				if !t.Enabled(ch) {
-					continue
-				}
-				id := g.id(ch, vd.VC)
+			cands = ev.Candidates(src, dst, routing.VCInjected, cands[:0])
+			for _, c := range cands {
+				id := vertex(src, c)
 				if !reachable[id] {
 					reachable[id] = true
 					queue = append(queue, id)
 				}
 			}
 		}
+		// Propagate: from each reachable virtual channel, the permitted
+		// next ones are both dependency edges and newly reachable.
 		for len(queue) > 0 {
 			id := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -98,15 +71,10 @@ func BuildVCCDG(alg routing.VCAlgorithm) *VCGraph {
 			if node == dst {
 				continue
 			}
-			in := routing.VCInPort{Dir: vch.Ch.Dir, VC: vch.VC}
-			buf = alg.CandidatesVC(node, dst, in, buf[:0])
-			for _, vd := range buf {
-				ch := topology.Channel{From: node, Dir: vd.Dir}
-				if !t.Enabled(ch) {
-					continue
-				}
-				id2 := g.id(ch, vd.VC)
-				addEdge(id, id2)
+			cands = ev.Candidates(node, dst, routing.VCInPort{Dir: vch.Ch.Dir, VC: vch.VC}, cands[:0])
+			for _, c := range cands {
+				id2 := vertex(node, c)
+				g.addEdge(id, id2)
 				if !reachable[id2] {
 					reachable[id2] = true
 					queue = append(queue, id2)
@@ -117,8 +85,8 @@ func BuildVCCDG(alg routing.VCAlgorithm) *VCGraph {
 	return g
 }
 
-// FindCycle returns a dependency cycle over virtual channels, or nil.
-func (g *VCGraph) FindCycle() []VChannel {
+// FindVCCycle returns a dependency cycle over virtual channels, or nil.
+func (g *Graph) FindVCCycle() []VChannel {
 	ids := findCycleIDs(g.adj, g.present)
 	if ids == nil {
 		return nil
@@ -129,9 +97,6 @@ func (g *VCGraph) FindCycle() []VChannel {
 	}
 	return out
 }
-
-// Acyclic reports whether the graph has no cycles.
-func (g *VCGraph) Acyclic() bool { return g.FindCycle() == nil }
 
 // VCResult summarizes a virtual-channel deadlock check.
 type VCResult struct {
@@ -152,7 +117,7 @@ func (r VCResult) String() string {
 // reports whether it is acyclic.
 func CheckVC(alg routing.VCAlgorithm) VCResult {
 	g := BuildVCCDG(alg)
-	cyc := g.FindCycle()
+	cyc := g.FindVCCycle()
 	return VCResult{
 		DeadlockFree:    cyc == nil,
 		Cycle:           cyc,
@@ -161,8 +126,8 @@ func CheckVC(alg routing.VCAlgorithm) VCResult {
 	}
 }
 
-// findCycleIDs is the iterative white/gray/black DFS shared by Graph and
-// VCGraph; it returns vertex IDs along a cycle in waiting order, or nil.
+// findCycleIDs is the iterative white/gray/black DFS over a graph's
+// vertices; it returns vertex IDs along a cycle in waiting order, or nil.
 func findCycleIDs(adj [][]int32, present []bool) []int {
 	const (
 		white = 0

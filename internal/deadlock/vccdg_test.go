@@ -1,8 +1,10 @@
 package deadlock
 
 import (
+	"reflect"
 	"testing"
 
+	"turnmodel/internal/core"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 )
@@ -39,17 +41,25 @@ func TestDatelineDORDeadlockFree(t *testing.T) {
 }
 
 // TestVCCDGMatchesCDGForSingleVC: for a single-virtual-channel relation
-// the virtual CDG is the plain CDG.
+// the virtual CDG is the plain CDG the reference builder constructs.
 func TestVCCDGMatchesCDGForSingleVC(t *testing.T) {
 	topo := topology.NewMesh(5, 5)
-	alg := routing.NewWestFirst(topo)
-	plain := BuildCDG(alg)
-	virtual := BuildVCCDG(routing.AsVC(alg))
-	if plain.NumEdges() != virtual.NumEdges() {
-		t.Errorf("edge counts differ: %d vs %d", plain.NumEdges(), virtual.NumEdges())
-	}
-	if virtual.Acyclic() != plain.Acyclic() {
-		t.Error("acyclicity differs")
+	for _, alg := range []routing.Algorithm{
+		routing.NewWestFirst(topo),
+		routing.NewTurnGraphRouting(topo, core.WestFirstSet(), false),
+		routing.NewFullyAdaptive(topo),
+	} {
+		plain := referenceCDG(alg)
+		virtual := BuildVCCDG(routing.AsVC(alg))
+		if !reflect.DeepEqual(plain.adj, virtual.adj) {
+			t.Errorf("%s: edge lists differ", alg.Name())
+		}
+		if plain.NumEdges() != virtual.NumEdges() {
+			t.Errorf("%s: edge counts differ: %d vs %d", alg.Name(), plain.NumEdges(), virtual.NumEdges())
+		}
+		if virtual.Acyclic() != plain.Acyclic() {
+			t.Errorf("%s: acyclicity differs", alg.Name())
+		}
 	}
 	// Fully adaptive stays cyclic through the adapter.
 	if CheckVC(routing.AsVC(routing.NewFullyAdaptive(topo))).DeadlockFree {
@@ -62,7 +72,7 @@ func TestVCCDGMatchesCDGForSingleVC(t *testing.T) {
 func TestVCWitnessCycleValid(t *testing.T) {
 	topo := topology.NewTorus(6, 1)
 	g := BuildVCCDG(routing.AsVC(routing.NewTorusDOR(topo)))
-	cyc := g.FindCycle()
+	cyc := g.FindVCCycle()
 	if cyc == nil {
 		t.Fatal("expected a cycle in the 6-ring")
 	}

@@ -221,7 +221,7 @@ func runFaults(o Options, w io.Writer) error {
 			{From: 8*1 + 6, Dir: topology.Direction{Dim: 1}},
 		},
 	}
-	tbl := stats.NewTable("faults", "relation", "deadlock free", "unroutable pairs", "stranded flits", "latency (us)")
+	tbl := stats.NewTable("faults", "relation", "deadlock free", "unroutable pairs", "backlog growth", "latency (us)")
 	for _, faults := range faultSets {
 		topo := topology.NewMesh(8, 8)
 		for _, f := range faults {

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"turnmodel/internal/adapt"
 	"turnmodel/internal/core"
 	"turnmodel/internal/exp"
+	"turnmodel/internal/jsonl"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 	"turnmodel/internal/traffic"
@@ -172,20 +172,14 @@ func loadLog(path string) (map[string]Record, error) {
 	}
 	defer f.Close()
 	out := map[string]Record{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	err = jsonl.Lines(f, func(line []byte) {
 		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			continue // torn write from a killed run
+		if err := json.Unmarshal(line, &r); err != nil {
+			return // torn write from a killed run
 		}
 		out[r.CacheKey] = r
-	}
-	return out, sc.Err()
+	})
+	return out, err
 }
 
 // record flattens a completed figure's sweeps (always a single

@@ -161,6 +161,29 @@ func TestCampaignResume(t *testing.T) {
 	}
 }
 
+// TestCampaignLogOverlongLine: a torn line longer than the reader's
+// 16 MiB line limit is skipped like any torn line instead of failing
+// the resume; the records on either side of it load.
+func TestCampaignLogOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "long.jsonl")
+	rec := func(k string) string {
+		return `{"cache_key":"` + k + `","figure":"f","set":"0x03","pattern":"uniform","points":[]}` + "\n"
+	}
+	garbage := `{"cache_key":"` + strings.Repeat("x", 17<<20) + "\n"
+	if err := os.WriteFile(path, []byte(rec("k1")+garbage+rec("k2")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := loadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if _, ok := recs[k]; !ok {
+			t.Errorf("record %s missing", k)
+		}
+	}
+}
+
 // TestCampaignLogTolerance: a torn trailing line (killed mid-write)
 // is skipped on load instead of poisoning the resume.
 func TestCampaignLogTolerance(t *testing.T) {

@@ -249,13 +249,7 @@ type rowCompiler struct {
 	spans     []span
 	lo, hi    int
 
-	// plain is set when alg is AsVC's adapter, which then evaluates into
-	// the worker-owned dirs scratch instead of a per-call buffer.
-	plain   singleVC
-	isPlain bool
-	dirs    []topology.Direction
-
-	raw                  []VirtualDirection
+	eval                 Evaluator
 	injList, arrList, pr []Candidate
 	cands                []Candidate
 	intern               rowIntern
@@ -266,7 +260,7 @@ type rowCompiler struct {
 
 func newRowCompiler(alg VCAlgorithm, spans []span, lo, hi int) *rowCompiler {
 	t := alg.Topology()
-	w := &rowCompiler{
+	return &rowCompiler{
 		alg:       alg,
 		t:         t,
 		n:         t.Nodes(),
@@ -275,10 +269,9 @@ func newRowCompiler(alg VCAlgorithm, spans []span, lo, hi int) *rowCompiler {
 		spans:     spans,
 		lo:        lo,
 		hi:        hi,
+		eval:      NewEvaluator(alg),
 		intern:    newRowIntern(2 * t.Nodes()),
 	}
-	w.plain, w.isPlain = alg.(singleVC)
-	return w
 }
 
 // run compiles the worker's rows, stopping at the first row that fails
@@ -309,9 +302,9 @@ func (w *rowCompiler) row(cur topology.NodeID) {
 		if dst == cur {
 			continue // headers at their destination eject; both spans stay empty
 		}
-		w.injList = w.compileCands(cur, dst, VCInjected, w.injList[:0])
+		w.injList = w.eval.Candidates(cur, dst, VCInjected, w.injList[:0])
 		if w.invariant {
-			w.arrList = w.compileCands(cur, dst, VCInPort{Dir: topology.Direction{}}, w.arrList[:0])
+			w.arrList = w.eval.Candidates(cur, dst, VCInPort{Dir: topology.Direction{}}, w.arrList[:0])
 		} else {
 			// Verify arrival invariance over every port a packet can
 			// actually arrive on: travelling d means it came over the
@@ -323,7 +316,7 @@ func (w *rowCompiler) row(cur topology.NodeID) {
 					continue
 				}
 				for vc := 0; vc < w.vcs; vc++ {
-					w.pr = w.compileCands(cur, dst, VCInPort{Dir: d, VC: vc}, w.pr[:0])
+					w.pr = w.eval.Candidates(cur, dst, VCInPort{Dir: d, VC: vc}, w.pr[:0])
 					if first {
 						w.arrList = append(w.arrList[:0], w.pr...)
 						first = false
@@ -344,48 +337,6 @@ func (w *rowCompiler) row(cur topology.NodeID) {
 		w.spans[si] = w.internSpan(w.injList)
 		w.spans[si+1] = w.internSpan(w.arrList)
 	}
-}
-
-// compileCands evaluates the relation once and applies the simulator's
-// candidate filter: virtual channel in range, channel existing and not
-// faulty. Profitability is computed unconditionally — the simulator
-// reads it only under misroute patience or metrics, so precomputing it
-// is behavior-neutral. A hop along dimension d changes only d's
-// coordinate, so it shortens the route exactly when it shrinks d's
-// shortest-way offset; that one-dimension test equals comparing the
-// full distances.
-func (w *rowCompiler) compileCands(cur, dst topology.NodeID, in VCInPort, out []Candidate) []Candidate {
-	if w.isPlain {
-		w.raw, w.dirs = w.plain.candidates(cur, dst, in, w.raw[:0], w.dirs)
-	} else {
-		w.raw = w.alg.CandidatesVC(cur, dst, in, w.raw[:0])
-	}
-	t := w.t
-	ndim := t.NumDims()
-	for _, vd := range w.raw {
-		if vd.VC < 0 || vd.VC >= w.vcs {
-			continue
-		}
-		if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
-			continue
-		}
-		next, _ := t.Neighbor(cur, vd.Dir)
-		dim := vd.Dir.Dim
-		out = append(out, Candidate{
-			Out:  OutIndex(cur, vd.Dir, vd.VC, ndim, w.vcs),
-			Dir:  uint8(vd.Dir.Index()),
-			VC:   uint8(vd.VC),
-			Prof: abs(t.MinDelta(next, dst, dim)) < abs(t.MinDelta(cur, dst, dim)),
-		})
-	}
-	return out
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // internSpan returns the span of an identical list already stored for
@@ -473,6 +424,15 @@ type tableSlot struct {
 
 func (b *base) tableSlot() *tableSlot { return &b.table }
 
+// slotOf returns the slot alg's table is kept in, or nil when alg has
+// none.
+func slotOf(alg any) *tableSlot {
+	if o, ok := alg.(interface{ tableSlot() *tableSlot }); ok {
+		return o.tableSlot()
+	}
+	return nil
+}
+
 // TableFor returns the compiled routing table for alg at its topology's
 // current fault epoch, compiling on first use and keeping the table on
 // the relation itself, so repeated calls — e.g. one simulation per load
@@ -486,16 +446,11 @@ func (b *base) tableSlot() *tableSlot { return &b.table }
 // of them. A relation defined elsewhere has nowhere to keep one and is
 // compiled on every call.
 func TableFor(alg VCAlgorithm) *Table {
-	var owner any = alg
-	if s, ok := alg.(singleVC); ok {
-		owner = s.Algorithm
-	}
-	o, ok := owner.(interface{ tableSlot() *tableSlot })
-	if !ok {
+	s := slotOf(alg)
+	if s == nil {
 		tab, _ := Compile(alg) // nil when not compilable, as below
 		return tab
 	}
-	s := o.tableSlot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed {

@@ -17,33 +17,37 @@ type CanRouter interface {
 // alg cannot serve under its topology's current fault set — the pairs a
 // fault campaign must expect to drop (or to deadlock on, for relations
 // that lose connectivity non-gracefully). Relations implementing
-// CanRouter answer directly; for the rest, reachability is computed by
-// a per-destination reverse search over (router, arrival-port) states
-// of the routing relation, honoring disabled channels exactly as the
-// simulator's allocation does.
+// CanRouter answer directly; for the rest it is UnroutablePairsVC of
+// the relation's one-channel view.
 func UnroutablePairs(alg Algorithm) int {
-	if cr, ok := alg.(CanRouter); ok {
-		t := alg.Topology()
-		n := t.Nodes()
-		bad := 0
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s != d && !cr.CanRoute(topology.NodeID(s), topology.NodeID(d)) {
-					bad++
-				}
+	cr, ok := alg.(CanRouter)
+	if !ok {
+		return UnroutablePairsVC(AsVC(alg))
+	}
+	n := alg.Topology().Nodes()
+	bad := 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d && !cr.CanRoute(topology.NodeID(s), topology.NodeID(d)) {
+				bad++
 			}
 		}
-		return bad
 	}
-	return unroutableGeneric(alg)
+	return bad
 }
 
-// UnroutablePairsVC is UnroutablePairs lifted to virtual-channel
-// relations: the reverse search runs over (router, arrival virtual
-// direction) states, so a pair counts as routable only when a VC-valid
-// path exists — projecting the relation onto physical directions would
-// overcount, since a VC transition permitted from one arrival channel
-// may be forbidden from another (the dateline scheme's whole point).
+// UnroutablePairsVC is UnroutablePairs for virtual-channel relations,
+// computed by a reverse search of the relation's state graph. For each
+// destination, the states are (router, arrival virtual direction)
+// pairs plus each router's injected state, and the edges are the
+// relation's candidate moves under the routing.Evaluator filter, which
+// honors disabled channels exactly as the simulator's allocation does.
+// One reverse search from the destination's states marks every state
+// that can reach it; a source is routable iff its injected state is
+// marked. The search runs over virtual directions because projecting
+// the relation onto physical directions would overcount: a VC
+// transition permitted from one arrival channel may be forbidden from
+// another (the dateline scheme's whole point).
 func UnroutablePairsVC(alg VCAlgorithm) int {
 	t := alg.Topology()
 	n := t.Nodes()
@@ -54,17 +58,20 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 	rev := make([][]int32, nstates)
 	reach := make([]bool, nstates)
 	queue := make([]int32, 0, nstates)
-	var buf []VirtualDirection
+	ev := NewEvaluator(alg)
+	var cands []Candidate
 	bad := 0
 	for dsti := 0; dsti < n; dsti++ {
 		dst := topology.NodeID(dsti)
 		for i := range rev {
 			rev[i] = rev[i][:0]
-			reach[i] = false
 		}
+		clear(reach)
 		queue = queue[:0]
 		for v := 0; v < n; v++ {
 			if v == dsti {
+				// The relation must not be asked for candidates at the
+				// destination; its states are the accepting set.
 				for ip := 0; ip < ports; ip++ {
 					s := int32(v*ports + ip)
 					reach[s] = true
@@ -78,16 +85,10 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 				if ip < ndirs*vcs {
 					in = VCArrived(VirtualDirection{Dir: topology.DirectionFromIndex(ip / vcs), VC: ip % vcs})
 				}
-				buf = alg.CandidatesVC(cur, dst, in, buf[:0])
-				for _, vd := range buf {
-					if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
-						continue
-					}
-					u, ok := t.Neighbor(cur, vd.Dir)
-					if !ok {
-						continue
-					}
-					to := int32(int(u)*ports + vd.Dir.Index()*vcs + vd.VC)
+				cands = ev.Candidates(cur, dst, in, cands[:0])
+				for _, c := range cands {
+					u, _ := t.Neighbor(cur, c.Direction())
+					to := int32(int(u)*ports + int(c.Dir)*vcs + int(c.VC))
 					rev[to] = append(rev[to], int32(v*ports+ip))
 				}
 			}
@@ -104,81 +105,6 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 		}
 		for v := 0; v < n; v++ {
 			if v != dsti && !reach[v*ports+ndirs*vcs] {
-				bad++
-			}
-		}
-	}
-	return bad
-}
-
-// unroutableGeneric computes UnroutablePairs for an arbitrary relation.
-// For each destination it builds the state graph whose nodes are
-// (router, arrival port) pairs — arrival ports are the 2n incoming
-// directions plus "injected" — and whose edges are the relation's
-// candidate moves over enabled channels, then runs one reverse BFS from
-// the destination's states. A source is routable iff its injected
-// state reaches the destination.
-func unroutableGeneric(alg Algorithm) int {
-	t := alg.Topology()
-	n := t.Nodes()
-	ndirs := 2 * t.NumDims()
-	ports := ndirs + 1 // arrival directions plus injected
-	nstates := n * ports
-	rev := make([][]int32, nstates)
-	reach := make([]bool, nstates)
-	queue := make([]int32, 0, nstates)
-	var buf []topology.Direction
-	bad := 0
-	for dsti := 0; dsti < n; dsti++ {
-		dst := topology.NodeID(dsti)
-		for i := range rev {
-			rev[i] = rev[i][:0]
-			reach[i] = false
-		}
-		queue = queue[:0]
-		for v := 0; v < n; v++ {
-			if v == dsti {
-				// The relation must not be asked for candidates at the
-				// destination; its states are the accepting set.
-				for ip := 0; ip < ports; ip++ {
-					s := int32(v*ports + ip)
-					reach[s] = true
-					queue = append(queue, s)
-				}
-				continue
-			}
-			cur := topology.NodeID(v)
-			for ip := 0; ip < ports; ip++ {
-				in := Injected
-				if ip < ndirs {
-					in = Arrived(topology.DirectionFromIndex(ip))
-				}
-				buf = alg.Candidates(cur, dst, in, buf[:0])
-				for _, d := range buf {
-					if !t.Enabled(topology.Channel{From: cur, Dir: d}) {
-						continue
-					}
-					u, ok := t.Neighbor(cur, d)
-					if !ok {
-						continue
-					}
-					to := int32(int(u)*ports + d.Index())
-					rev[to] = append(rev[to], int32(v*ports+ip))
-				}
-			}
-		}
-		for len(queue) > 0 {
-			s := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, from := range rev[s] {
-				if !reach[from] {
-					reach[from] = true
-					queue = append(queue, from)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v != dsti && !reach[v*ports+ndirs] {
 				bad++
 			}
 		}

@@ -82,27 +82,119 @@ func (s singleVC) ArrivalInvariant() bool {
 	return ok && a.ArrivalInvariant()
 }
 
+// tableSlot is the wrapped relation's slot, so a table compiled from
+// the adapter lives on the relation itself (see TableFor).
+func (s singleVC) tableSlot() *tableSlot { return slotOf(s.Algorithm) }
+
 func (s singleVC) CandidatesVC(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection) []VirtualDirection {
 	var tmp [16]topology.Direction
-	buf, _ = s.candidates(cur, dst, in, buf, tmp[:0])
+	for _, d := range s.Algorithm.Candidates(cur, dst, plainInPort(in), tmp[:0]) {
+		buf = append(buf, VirtualDirection{Dir: d})
+	}
 	return buf
 }
 
-// candidates is the adapter's one evaluation path. The wrapped
-// relation's plain directions go into the caller-owned dirs scratch,
-// returned for reuse: passed through the Algorithm interface, a
-// scratch array local to CandidatesVC escapes to the heap on every
-// call, so Compile hands each worker's own scratch in instead.
-func (s singleVC) candidates(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection, dirs []topology.Direction) ([]VirtualDirection, []topology.Direction) {
-	ip := Injected
-	if !in.Injected {
-		ip = Arrived(in.Dir)
+// plainInPort is in seen by a single-channel relation.
+func plainInPort(in VCInPort) InPort {
+	if in.Injected {
+		return Injected
 	}
-	dirs = s.Algorithm.Candidates(cur, dst, ip, dirs[:0])
-	for _, d := range dirs {
-		buf = append(buf, VirtualDirection{Dir: d})
+	return Arrived(in.Dir)
+}
+
+// Evaluator is one caller's evaluation of a VCAlgorithm: the relation's
+// candidates for a header and the one filter every consumer applies to
+// them (route-table compilation, the simulator's direct-evaluation
+// fallback, dependency graphs, reachability). It owns its scratch, so
+// evaluation allocates nothing once the scratch has grown to the
+// relation's widest candidate list. A plain relation seen through AsVC
+// evaluates into the evaluator's own direction scratch: a scratch array
+// local to singleVC.CandidatesVC escapes to the heap on every call made
+// through the interface. An Evaluator is not safe for concurrent use;
+// give each goroutine its own, held by value in storage that goroutine
+// owns, so that evaluators written by different goroutines do not share
+// a cache line.
+type Evaluator struct {
+	alg   VCAlgorithm
+	t     *topology.Topology
+	vcs   int
+	plain Algorithm // the wrapped relation when alg is AsVC's adapter
+	dirs  []topology.Direction
+	raw   []VirtualDirection
+}
+
+// NewEvaluator returns an evaluator of alg.
+func NewEvaluator(alg VCAlgorithm) Evaluator {
+	ev := Evaluator{alg: alg, t: alg.Topology(), vcs: alg.NumVCs()}
+	if s, ok := alg.(singleVC); ok {
+		ev.plain = s.Algorithm
 	}
-	return buf, dirs
+	return ev
+}
+
+// Raw returns the relation's unfiltered candidates for a header at cur
+// destined for dst that arrived via in. The slice is the evaluator's
+// scratch: the caller may reorder or shrink it, and it is overwritten
+// by the next call.
+func (ev *Evaluator) Raw(cur, dst topology.NodeID, in VCInPort) []VirtualDirection {
+	if ev.plain == nil {
+		ev.raw = ev.alg.CandidatesVC(cur, dst, in, ev.raw[:0])
+		return ev.raw
+	}
+	ev.dirs = ev.plain.Candidates(cur, dst, plainInPort(in), ev.dirs[:0])
+	ev.raw = ev.raw[:0]
+	for _, d := range ev.dirs {
+		ev.raw = append(ev.raw, VirtualDirection{Dir: d})
+	}
+	return ev.raw
+}
+
+// Filter appends to out the candidates of raw a header at cur destined
+// for dst may take: the virtual channel in range and the channel
+// existing and not faulty. Each is resolved to its output index (see
+// OutIndex) and its profitability. A hop along dimension d changes only
+// d's coordinate, so it shortens the route exactly when it shrinks d's
+// shortest-way offset; that one-dimension test equals comparing the
+// full distances. A hop the way the offset points always shrinks it; a
+// hop against it shrinks it only on a ring whose two ways tie, so only
+// those hops compute the offset after the hop.
+func (ev *Evaluator) Filter(cur, dst topology.NodeID, raw []VirtualDirection, out []Candidate) []Candidate {
+	t := ev.t
+	ndim := t.NumDims()
+	for _, vd := range raw {
+		if vd.VC < 0 || vd.VC >= ev.vcs {
+			continue
+		}
+		if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
+			continue
+		}
+		off := t.MinDelta(cur, dst, vd.Dir.Dim)
+		prof := off != 0 && (off > 0) == vd.Dir.Pos
+		if !prof && off != 0 {
+			next, _ := t.Neighbor(cur, vd.Dir)
+			prof = abs(t.MinDelta(next, dst, vd.Dir.Dim)) < abs(off)
+		}
+		out = append(out, Candidate{
+			Out:  OutIndex(cur, vd.Dir, vd.VC, ndim, ev.vcs),
+			Dir:  uint8(vd.Dir.Index()),
+			VC:   uint8(vd.VC),
+			Prof: prof,
+		})
+	}
+	return out
+}
+
+// Candidates appends the filtered candidates of a header at cur
+// destined for dst that arrived via in: Filter applied to Raw.
+func (ev *Evaluator) Candidates(cur, dst topology.NodeID, in VCInPort, out []Candidate) []Candidate {
+	return ev.Filter(cur, dst, ev.Raw(cur, dst, in), out)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // TorusDOR is minimal dimension-order routing on a k-ary n-cube USING

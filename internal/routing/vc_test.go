@@ -121,3 +121,45 @@ func TestDatelineDORPanics(t *testing.T) {
 	}()
 	NewDatelineDOR(topology.NewMesh(4, 4))
 }
+
+// TestEvaluatorMatchesDirect: the evaluator's filtered candidates equal
+// the test oracle's direct evaluation, whose profitability compares
+// full distances, for a relation offering every direction (so hops
+// against the shortest way are covered, across the tied halves of an
+// even ring too) and for plain relations seen through AsVC.
+func TestEvaluatorMatchesDirect(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 3),
+		topology.NewTorus(4, 2),
+		topology.NewTorus(5, 1),
+		topology.NewHypercube(3),
+	} {
+		for _, alg := range []VCAlgorithm{detourVC{topo}, AsVC(NewFullyAdaptive(topo)), AsVC(NewNegativeFirst(topo))} {
+			ev := NewEvaluator(alg)
+			var got []Candidate
+			for cur := topology.NodeID(0); int(cur) < topo.Nodes(); cur++ {
+				for dst := topology.NodeID(0); int(dst) < topo.Nodes(); dst++ {
+					if cur == dst {
+						continue
+					}
+					got = ev.Candidates(cur, dst, VCInjected, got[:0])
+					if want := directCands(alg, cur, dst, VCInjected); !candsEqual(got, want) {
+						t.Fatalf("%v, %s, %d->%d: %v, want %v", topo, alg.Name(), cur, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatorAllocs: once its scratch has grown, an evaluator of a
+// plain relation seen through AsVC allocates nothing per evaluation.
+func TestEvaluatorAllocs(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	ev := NewEvaluator(AsVC(NewFullyAdaptive(topo)))
+	out := make([]Candidate, 0, 4)
+	in := VCArrived(VirtualDirection{Dir: topology.Direction{Dim: 0, Pos: true}})
+	if avg := testing.AllocsPerRun(100, func() { out = ev.Candidates(9, 63, in, out[:0]) }); avg != 0 {
+		t.Errorf("%.1f allocations per evaluation, want 0", avg)
+	}
+}

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
-	"strings"
 	"sync"
 	"time"
+
+	"turnmodel/internal/jsonl"
 )
 
 // The job journal is the store's write-ahead log: one JSON object per
@@ -92,20 +92,14 @@ func readJournal(path string) ([]journalEntry, error) {
 	}
 	defer f.Close()
 	var out []journalEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	err = jsonl.Lines(f, func(line []byte) {
 		var e journalEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.ID == "" {
-			continue // torn write from a killed process
+		if err := json.Unmarshal(line, &e); err != nil || e.ID == "" {
+			return // torn write from a killed process
 		}
 		out = append(out, e)
-	}
-	return out, sc.Err()
+	})
+	return out, err
 }
 
 // append writes one entry and syncs it to disk, so a terminal state

@@ -395,6 +395,36 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestJournalOverlongLineSkipped: a torn line longer than the reader's
+// 16 MiB line limit is skipped like any torn line instead of failing
+// startup; the entries on either side of it replay.
+func TestJournalOverlongLineSkipped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	var ids []string
+	var lines []string
+	for _, seed := range []int64{2011, 2012} {
+		req := quickReq(seed)
+		key, id := keyAndID(t, req)
+		b, err := json.Marshal(journalEntry{Type: "submit", ID: id, Key: key, Req: &req, Time: time.Now().UTC().Format(time.RFC3339Nano)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, lines = append(ids, id), append(lines, string(b))
+	}
+	garbage := `{"type":"done","result":"` + strings.Repeat("x", 17<<20)
+	if err := os.WriteFile(path, []byte(lines[0]+"\n"+garbage+"\n"+lines[1]+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := newTestStore(t, journalCfg(path))
+	for _, id := range ids {
+		j, ok := store.Get(id)
+		if !ok {
+			t.Fatalf("job %s missing after replay past the overlong line", id)
+		}
+		waitJobState(t, j, StateDone)
+	}
+}
+
 // TestSubmitRejectedNotJournaled: a 429'd submission must leave no
 // journal trace — otherwise replay would resurrect a job whose client
 // was told to retry elsewhere.

@@ -108,8 +108,10 @@ type Engine struct {
 	// table is the compiled route table for alg at the current fault
 	// epoch, or nil when routing.TableFor declines to compile the
 	// relation. With a table, fillCandCache is a slice reference into
-	// the table arena; without, it evaluates the relation directly.
+	// the table arena; without, it evaluates the relation directly
+	// through eval.
 	table *routing.Table
+	eval  routing.Evaluator
 
 	// Flat state, indexed router*vport+port unless noted.
 	inbufs   []inbuf
@@ -169,11 +171,9 @@ type Engine struct {
 
 	// Allocation scratch, reused across routers and cycles so the
 	// steady-state hot path performs no heap allocations: the inputs
-	// holding an eligible header (len vport), the CandidatesVC result
-	// buffer, the candidates whose output is free, and their
-	// distance-reducing subset.
+	// holding an eligible header (len vport), the candidates whose
+	// output is free, and their distance-reducing subset.
 	waiting   []int32
-	rawCands  []routing.VirtualDirection
 	freeCands []routing.Candidate
 	profCands []routing.Candidate
 
@@ -288,7 +288,6 @@ func New(cfg Config) (*Engine, error) {
 		lastFaultEpoch: int32(t.FaultEpoch()),
 		script:         c.Script,
 		waiting:        make([]int32, vport),
-		rawCands:       make([]routing.VirtualDirection, 0, ndim2*vcs),
 		freeCands:      make([]routing.Candidate, 0, ndim2*vcs),
 		profCands:      make([]routing.Candidate, 0, ndim2*vcs),
 		// Compile (or fetch the cached compilation of) the routing
@@ -297,6 +296,17 @@ func New(cfg Config) (*Engine, error) {
 		// this engine's port layout. nil means the relation is not
 		// compilable; fillCandCache then evaluates it directly.
 		table: routing.TableFor(alg),
+		eval:  routing.NewEvaluator(alg),
+	}
+	if e.table == nil {
+		// Direct evaluation fills each buffer's own candidate storage;
+		// one arena with room for every virtual direction per buffer
+		// keeps those fills allocation-free.
+		arena := make([]routing.Candidate, n*vport*ndim2*vcs)
+		for i := range e.inbufs {
+			off := i * ndim2 * vcs
+			e.inbufs[i].own = arena[off : off : off+ndim2*vcs]
+		}
 	}
 	if c.StrictAdvance {
 		e.lenStart = make([]int32, n*vport)
@@ -655,32 +665,30 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 // fillCandCache refreshes the filtered routing candidate list for the
 // header of packet pkt waiting at the front of input buffer b of router
 // v. With a compiled route table this is a slice reference into the
-// table's arena; otherwise (arrival-dependent relations, scripted
-// first-hop restrictions, relations TableFor declines) the relation is
-// evaluated directly into the buffer-owned fallback storage. Either way the list
-// keeps every candidate that exists, has a valid virtual channel, and
-// is not faulty; per-cycle allocation then only checks output busyness.
+// table's arena; otherwise (scripted first-hop restrictions, relations
+// TableFor declines) the relation is evaluated directly and filtered
+// into the buffer-owned storage by the same routing.Evaluator the
+// table is compiled with. Either way the list keeps every candidate
+// that exists, has a valid virtual channel, and is not faulty;
+// per-cycle allocation then only checks output busyness.
 func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32) {
 	injected := int(b.port) == e.vport-1
 	cur := topology.NodeID(v)
+	b.candPkt = pkt.id
+	b.candEpoch = epoch
 	if e.table != nil && !(injected && pkt.firstDir != nil) {
 		b.cands = e.table.Lookup(cur, pkt.dst, injected)
-		b.candPkt = pkt.id
-		b.candEpoch = epoch
 		return
 	}
-	var inp routing.VCInPort
-	if injected {
-		inp = routing.VCInjected
-	} else {
+	inp := routing.VCInjected
+	if !injected {
 		inp = routing.VCInPort{
 			Dir: topology.DirectionFromIndex(int(b.port) / e.vcs),
 			VC:  int(b.port) % e.vcs,
 		}
 	}
-	raw := e.alg.CandidatesVC(cur, pkt.dst, inp, e.rawCands[:0])
-	e.rawCands = raw[:0]
-	if inp.Injected && pkt.firstDir != nil {
+	raw := e.eval.Raw(cur, pkt.dst, inp)
+	if injected && pkt.firstDir != nil {
 		// Scripted first hop: honor it when offered.
 		kept := raw[:0]
 		for _, vd := range raw {
@@ -692,46 +700,8 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32) {
 			raw = kept
 		}
 	}
-	base := v * e.vport
-	// Profitability (does this output reduce the distance?) feeds the
-	// misroute-patience discipline and, when a collector is attached,
-	// the misroute counter. Computing it unconditionally in the
-	// metrics case is behavior-neutral: allocation consults Prof only
-	// when MisrouteAfter > 0.
-	needProf := e.cfg.MisrouteAfter > 0 || e.m != nil
-	baseDist := 0
-	if needProf {
-		baseDist = e.topo.Distance(cur, pkt.dst)
-	}
-	own := b.own[:0]
-	for _, vd := range raw {
-		if vd.VC < 0 || vd.VC >= e.vcs {
-			continue
-		}
-		out := int32(base + vd.Dir.Index()*e.vcs + vd.VC)
-		if e.outDest[out] < 0 {
-			continue
-		}
-		if !e.topo.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
-			continue
-		}
-		prof := false
-		if needProf {
-			if next, ok := e.topo.Neighbor(cur, vd.Dir); ok && e.topo.Distance(next, pkt.dst) < baseDist {
-				prof = true
-			}
-		}
-		own = append(own, routing.Candidate{
-			Out:  out,
-			Dir:  uint8(vd.Dir.Index()),
-			VC:   uint8(vd.VC),
-			Prof: prof,
-		})
-	}
-	b.own = own
-	b.cands = own
-	b.candPkt = pkt.id
-	b.candEpoch = epoch
+	b.own = e.eval.Filter(cur, pkt.dst, raw, b.own[:0])
+	b.cands = b.own
 }
 
 // pushWork schedules input buffer in for a movement attempt this cycle.
