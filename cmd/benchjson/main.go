@@ -2,7 +2,9 @@
 // single-load-point renditions of the Section 6 figures that
 // bench_test.go runs) and writes the results as JSON, one record per
 // figure and algorithm with ns/op and allocs/op, plus the screening and
-// route-table compile micro-benchmarks. The driver writes
+// route-table compile micro-benchmarks. Each simulation entry also
+// splits its cycle cost into the engine's generate, allocate and move
+// phases, timed by a metrics collector on one extra run. The driver writes
 // BENCH_<pr>.json files with it so successive changes have a recorded
 // performance trajectory; benchjson itself compares each run against
 // the most recent of those files and prints the deltas.
@@ -46,6 +48,7 @@ import (
 	"turnmodel/internal/core"
 	"turnmodel/internal/deadlock"
 	"turnmodel/internal/exp"
+	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/sim"
 	"turnmodel/internal/topology"
@@ -127,6 +130,13 @@ type record struct {
 	// baselines report zero; the delta table falls back to the
 	// report-level gomaxprocs).
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
+	// GenerateNs, AllocateNs and MoveNs split a simulation entry's
+	// cycle cost by engine phase: mean host nanoseconds per sampled
+	// cycle, from one extra run with a metrics collector attached
+	// (older baselines have none).
+	GenerateNs float64 `json:"generate_ns_per_cycle,omitempty"`
+	AllocateNs float64 `json:"allocate_ns_per_cycle,omitempty"`
+	MoveNs     float64 `json:"move_ns_per_cycle,omitempty"`
 }
 
 type report struct {
@@ -197,6 +207,14 @@ func run() int {
 		if simErr != nil {
 			return fmt.Errorf("%s: %w", name, simErr)
 		}
+		// The phase split comes from a separate run, so the collector
+		// never weighs on the timed ones.
+		col := metrics.New(metrics.Config{})
+		cfg.Seed, cfg.Metrics = 1, col
+		if _, err := sim.Run(cfg); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		phases := col.Summarize()
 		rep.Benchmarks = append(rep.Benchmarks, record{
 			Name:         name,
 			NsPerOp:      res.NsPerOp(),
@@ -206,6 +224,9 @@ func run() int {
 			AvgLatencyUs: last.AvgLatency,
 			Throughput:   last.Throughput,
 			GoMaxProcs:   rep.GoMaxProcs,
+			GenerateNs:   phases.GenerateNs,
+			AllocateNs:   phases.AllocateNs,
+			MoveNs:       phases.MoveNs,
 		})
 		return nil
 	}

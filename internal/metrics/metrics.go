@@ -17,9 +17,16 @@
 package metrics
 
 import (
+	"time"
+
 	"turnmodel/internal/stats"
 	"turnmodel/internal/topology"
 )
+
+// PhaseSampleEvery is the cadence, in cycles, at which the engine times
+// its generate, allocate and move phases for an attached collector:
+// timing every cycle would cost more than the phases it measures.
+const PhaseSampleEvery = 1024
 
 // Config parameterizes a Collector.
 type Config struct {
@@ -62,7 +69,9 @@ type Collector struct {
 	// Per-router counters, indexed by router (node) id.
 
 	// RouterFlits counts flits forwarded out of each router, including
-	// ejections to the local processor.
+	// ejections to the local processor. The engine credits a worm's
+	// flits to a channel in bulk, so RouterFlits and ChannelFlits are
+	// complete once the run has ended.
 	RouterFlits []int64
 	// Grants counts output-channel allocations granted at each router
 	// (one per packet per router traversed, ejection included).
@@ -89,7 +98,8 @@ type Collector struct {
 	// nphys-1 of each router is the ejection channel.
 	ChannelFlits []int64
 
-	// InjectedFlits and DeliveredFlits are network-wide flit totals.
+	// InjectedFlits and DeliveredFlits are network-wide flit totals,
+	// brought up to date at every sample and at the end of the run.
 	InjectedFlits  int64
 	DeliveredFlits int64
 
@@ -113,6 +123,12 @@ type Collector struct {
 	epochLats  []stats.Accumulator
 	exact      []float64
 	bound      bool
+
+	// phaseCycles counts the cycles whose phases were timed, and
+	// phaseNs the host time spent in generate, allocate and move over
+	// those cycles.
+	phaseCycles int64
+	phaseNs     [3]time.Duration
 }
 
 // New returns an unbound Collector; the engine binds it to a topology
@@ -152,7 +168,18 @@ func (m *Collector) Bind(t *topology.Topology, nphys int) {
 	m.lastDel = 0
 	m.latencies = stats.NewHistogram(m.cfg.HistogramBucket)
 	m.exact = m.exact[:0]
+	m.phaseCycles = 0
+	m.phaseNs = [3]time.Duration{}
 	m.bound = true
+}
+
+// AddPhaseSample records the host time one sampled cycle spent in each
+// engine phase.
+func (m *Collector) AddPhaseSample(generate, allocate, move time.Duration) {
+	m.phaseCycles++
+	m.phaseNs[0] += generate
+	m.phaseNs[1] += allocate
+	m.phaseNs[2] += move
 }
 
 // Bound reports whether the collector has been attached to a run.
@@ -307,6 +334,15 @@ type Summary struct {
 	// via RecordEpochLatency, plus one (0 when per-epoch attribution
 	// never ran).
 	FaultEpochs int `json:"fault_epochs,omitempty"`
+	// PhaseSampledCycles counts the cycles whose engine phases were
+	// timed, one in every PhaseSampleEvery, and GenerateNs, AllocateNs
+	// and MoveNs are the mean host nanoseconds such a cycle spent in
+	// each phase. They are wall-clock readings, so unlike every other
+	// field they vary from run to run.
+	PhaseSampledCycles int64   `json:"phase_sampled_cycles,omitempty"`
+	GenerateNs         float64 `json:"generate_ns_per_cycle,omitempty"`
+	AllocateNs         float64 `json:"allocate_ns_per_cycle,omitempty"`
+	MoveNs             float64 `json:"move_ns_per_cycle,omitempty"`
 }
 
 // Summarize computes the run's Summary.
@@ -321,6 +357,12 @@ func (m *Collector) Summarize() Summary {
 		PacketsDropped: m.PacketsDropped,
 		DrainedFlits:   m.DrainedFlits,
 		FaultEpochs:    len(m.epochLats),
+	}
+	if n := m.phaseCycles; n > 0 {
+		s.PhaseSampledCycles = n
+		s.GenerateNs = float64(m.phaseNs[0]) / float64(n)
+		s.AllocateNs = float64(m.phaseNs[1]) / float64(n)
+		s.MoveNs = float64(m.phaseNs[2]) / float64(n)
 	}
 	for i := range m.RouterFlits {
 		s.FlitsForwarded += m.RouterFlits[i]

@@ -27,9 +27,16 @@ type TurnGraphRouting struct {
 	minimal bool
 
 	mu sync.Mutex
-	// reach[dst] maps arrival states to reachability of dst. States are
-	// indexed node*(2n+1) + dirIndex, with dirIndex 2n meaning "injected".
-	reach map[topology.NodeID][]bool
+	// reach holds, for every destination dst, the slice
+	// reach[dst*states:(dst+1)*states] mapping arrival states to
+	// reachability of dst; states are indexed node*(2n+1) + dirIndex,
+	// with dirIndex 2n meaning "injected". done[dst] marks the
+	// destinations computed so far. Both are allocated once per fault
+	// epoch, so routing to a destination for the first time allocates
+	// nothing; queue is the search's reusable work list.
+	reach []bool
+	done  []bool
+	queue []int
 	// reachEpoch is the topology fault epoch the cache was built at;
 	// fault changes invalidate the cache.
 	reachEpoch int
@@ -49,7 +56,6 @@ func NewTurnGraphRouting(t *topology.Topology, set *core.Set, minimal bool) *Tur
 		base:    base{topo: t, name: fmt.Sprintf("turns(%s,%s)", set.Name(), mode)},
 		set:     set,
 		minimal: minimal,
-		reach:   make(map[topology.NodeID][]bool),
 	}
 }
 
@@ -73,15 +79,20 @@ func (a *TurnGraphRouting) stateIndex(node topology.NodeID, in InPort) int {
 func (a *TurnGraphRouting) reachable(dst topology.NodeID) []bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if e := a.topo.FaultEpoch(); e != a.reachEpoch {
-		a.reach = make(map[topology.NodeID][]bool)
+	if e := a.topo.FaultEpoch(); e != a.reachEpoch || a.reach == nil {
+		// A fresh array, not a cleared one: callers of an earlier epoch
+		// may still hold slices of the old.
+		n := a.topo.Nodes()
+		a.reach = make([]bool, n*n*(2*a.topo.NumDims()+1))
+		a.done = make([]bool, n)
 		a.reachEpoch = e
 	}
-	if r, ok := a.reach[dst]; ok {
-		return r
+	states := len(a.reach) / len(a.done)
+	r := a.reach[int(dst)*states : (int(dst)+1)*states]
+	if !a.done[dst] {
+		a.compute(dst, r)
+		a.done[dst] = true
 	}
-	r := a.compute(dst)
-	a.reach[dst] = r
 	return r
 }
 
@@ -92,13 +103,12 @@ func (a *TurnGraphRouting) reachable(dst topology.NodeID) []bool {
 // In nonminimal mode the state graph may contain cycles, so a reverse
 // BFS from the accepting states is used. In minimal mode moves strictly
 // decrease the distance to dst, so the same traversal terminates
-// trivially.
-func (a *TurnGraphRouting) compute(dst topology.NodeID) []bool {
+// trivially. The caller holds a.mu and passes r zeroed.
+func (a *TurnGraphRouting) compute(dst topology.NodeID, r []bool) {
 	t := a.topo
 	w := 2*t.NumDims() + 1
-	r := make([]bool, t.Nodes()*w)
 	// Accepting states: any arrival state at dst.
-	queue := make([]int, 0, w)
+	queue := a.queue[:0]
 	for i := 0; i < w; i++ {
 		r[int(dst)*w+i] = true
 	}
@@ -110,9 +120,10 @@ func (a *TurnGraphRouting) compute(dst topology.NodeID) []bool {
 	for i := 0; i < w; i++ {
 		queue = append(queue, int(dst)*w+i)
 	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	// The queue is walked by index, not popped by reslicing, so its
+	// storage is reused for every destination.
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		v := topology.NodeID(s / w)
 		di := s % w
 		if di == w-1 {
@@ -151,7 +162,7 @@ func (a *TurnGraphRouting) compute(dst topology.NodeID) []bool {
 			queue = append(queue, ps)
 		}
 	}
-	return r
+	a.queue = queue
 }
 
 // CanRoute reports whether the relation can deliver a packet injected at

@@ -119,13 +119,6 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 			if (tc.class == "fallback") != (e.table == nil) {
 				t.Fatalf("route table present: %v, want %v", e.table != nil, tc.class != "fallback")
 			}
-			if tc.class == "fallback" {
-				// The turn-graph relation caches each destination's
-				// reachability on first use; fill the cache up front so
-				// a destination first routed inside the window does not
-				// count against the engine.
-				routing.UnroutablePairs(cfg.Algorithm)
-			}
 			// Mirror the run loop's measurement-window switch, then warm
 			// until the histogram buckets, ring high-water marks and
 			// freelist cover the steady state.

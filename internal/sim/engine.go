@@ -27,7 +27,6 @@ type packet struct {
 	injectCycle  int64 // header flit entered the source router
 	deliverCycle int64 // tail flit consumed at the destination
 
-	flitsSent      int // flits that have left the source queue
 	flitsDelivered int
 	hops           int // network channels traversed by the header
 
@@ -38,38 +37,52 @@ type packet struct {
 	// them, so results are bit-identical either way.
 	lastProgress int64
 	retries      int32
+
+	// flitsSent counts the flits that have left the source queue.
+	flitsSent int32
+	// shift counts the steps the packet's worm has moved as a unit: a
+	// run of this packet holds flits seq+shift onward (see run). Under
+	// the worm-level move rearAt is the input buffer holding the
+	// rearmost flit in the network.
+	shift  int32
+	rearAt int32
 }
 
-// flit is one flow control digit.
-type flit struct {
-	p    *packet
-	head bool
-	tail bool
+// run is a maximal sequence of one packet's consecutive flits in an
+// input buffer: flits seq+p.shift to seq+p.shift+n-1, flit 0 being the
+// header and flit length-1 the tail. A buffer holds its flits as a
+// FIFO of runs: a packet's flits arrive in order over one channel that
+// no other packet uses until the tail has passed, so each visit of a
+// packet to a buffer is one run.
+type run struct {
+	p   *packet
+	n   int32
+	seq int32
 }
 
-// pktChunk is the packet freelist's refill granularity: a cache miss
-// allocates this many packets in one block.
-const pktChunk = 64
+// bufq is the hot state of one input buffer: the ring state of its
+// run FIFO — the slot of the front run within the buffer's arena
+// segment, the number of runs and the number of flits — and out, the
+// global output index held by the packet flowing through the buffer,
+// or -1. A move reads all four together.
+type bufq struct {
+	head, runs, flits int32
+	out               int32
+}
 
-// flitArenaMaxFlits caps the preallocated flit-buffer arena. Whole-
-// packet buffers (store-and-forward, virtual cut-through) on large
-// multi-VC topologies would reserve tens of megabytes up front; such
-// configurations keep the lazily grown per-buffer slices instead.
-const flitArenaMaxFlits = 1 << 20
-
-// inbuf is the buffer of one router input channel (one per virtual
-// channel of each physical input, plus the injection channel).
-type inbuf struct {
-	q []flit
-	// allocOut is the global output index held by the packet currently
-	// flowing through this input, or -1.
-	allocOut int32
-	// port is the virtual port index of this buffer within its router
-	// (vport-1 is the injection channel).
-	port int32
+// bufMeta is the cold per-buffer state: allocation bookkeeping and the
+// routing candidate cache, read once per header rather than per flit.
+type bufMeta struct {
 	// headArrival is the cycle the current header flit arrived, the key
 	// of the local first-come-first-served input selection policy.
 	headArrival int64
+	// holder is the packet the buffer's allocated output was granted
+	// to, valid while the output is held, and settled the flits of it
+	// already credited to that output's link (see Engine.chanFlits).
+	holder  *packet
+	settled int32
+	// candEpoch is the topology fault epoch cands was filtered at.
+	candEpoch int32
 
 	// cands is the filtered routing candidate list for the header at the
 	// front of this buffer: a read-only slice into the compiled route
@@ -77,14 +90,17 @@ type inbuf struct {
 	// valid while candPkt matches that header's packet and candEpoch
 	// matches the topology fault epoch; a new header (new packet id) or
 	// a fault-state change invalidates it.
-	cands     []routing.Candidate
-	candPkt   int64
-	candEpoch int32
+	cands   []routing.Candidate
+	candPkt int64
 	// own is the buffer-owned candidate storage for the direct
 	// evaluation fallback. The fallback must never build into cands
 	// in place: cands may alias the shared table arena.
 	own []routing.Candidate
 }
+
+// pktChunk is the packet freelist's refill granularity: a cache miss
+// allocates this many packets in one block.
+const pktChunk = 64
 
 // Engine runs one simulation. Construct with New, then call Run.
 //
@@ -105,6 +121,13 @@ type Engine struct {
 	nphys int // physical links per router incl. ejection: 2n + 1
 	depth int // effective input buffer capacity in flits
 
+	// worms selects the worm-level move: with one virtual channel,
+	// one-flit buffers, wormhole forwarding and chained advance, every
+	// worm's flits fill consecutive buffers, so a worm whose front can
+	// advance moves as one unit (see DESIGN.md, "Performance
+	// architecture"). Otherwise each buffer advances on its own.
+	worms bool
+
 	// table is the compiled route table for alg at the current fault
 	// epoch, or nil when routing.TableFor declines to compile the
 	// relation. With a table, fillCandCache is a slice reference into
@@ -113,8 +136,13 @@ type Engine struct {
 	table *routing.Table
 	eval  routing.Evaluator
 
-	// Flat state, indexed router*vport+port unless noted.
-	inbufs   []inbuf
+	// Flat state, indexed router*vport+port unless noted. Input buffer
+	// in keeps its runs in runs[in*rcap : (in+1)*rcap], a ring whose
+	// state, with the buffer's allocated output, is bq[in].
+	runs     []run
+	rcap     int
+	bq       []bufq
+	meta     []bufMeta
 	busyBy   []int32 // virtual output port -> input index holding it, or -1
 	linkUsed []bool  // physical link used this cycle, router*nphys+phys
 	outDest  []int32 // virtual output port -> downstream input index, -1 ejection
@@ -149,9 +177,9 @@ type Engine struct {
 	injUsed []bool // injection channel used this cycle, per injection input
 
 	// flowing marks the inputs the movement phase must attempt: a queued
-	// flit with an allocated output. Maintained incrementally so move
-	// seeds its worklist from active inputs instead of scanning every
-	// buffer (see DESIGN.md, "Performance architecture").
+	// flit with an allocated output and, under the worm-level move, the
+	// worm's front. Maintained incrementally so move seeds its worklist
+	// from active inputs instead of scanning every buffer.
 	flowing bitset
 
 	// allocWork marks routers that may hold a header awaiting output
@@ -181,13 +209,16 @@ type Engine struct {
 	// movement worklist of a multi-VC engine (see seedMoveWork).
 	flowScratch []int32
 
-	// lenStart snapshots each buffer's length at the start of the move
-	// phase (strict-advance mode only, nil otherwise).
+	// lenStart snapshots each buffer's flit count at the start of the
+	// move phase (strict-advance mode only, nil otherwise).
 	lenStart []int32
 
-	// linkFlits counts flits carried per physical link during the
-	// measurement window, for utilization reporting.
-	linkFlits []int64
+	// chanFlits counts the flits carried per physical link
+	// (router*nphys+phys, the last slot of each router its ejection
+	// channel) since the measurement window opened. A worm is credited
+	// in bulk, not per flit: when its tail releases an output, every
+	// one of its flits has crossed it.
+	chanFlits []int64
 
 	// faults replays cfg.FaultPlan as cycles advance, or nil. It runs at
 	// the top of step, before generation and allocation, so a cycle's
@@ -208,6 +239,8 @@ type Engine struct {
 	// consumed at destinations, and flits removed by recovery drains.
 	// The invariant checker's conservation law is
 	// injected == delivered + drained + (flits sitting in buffers).
+	// Window statistics and the metrics collector's totals are
+	// differences of these, taken at window and sample boundaries.
 	flitsInjectedEver  int64
 	flitsDeliveredEver int64
 	flitsDrainedEver   int64
@@ -225,16 +258,23 @@ type Engine struct {
 
 	// onDeliver, when set (tests), observes every delivered packet.
 	onDeliver func(*packet)
+
+	// moveHook, when set (tests), replaces the movement phase.
+	moveHook func()
 }
 
 type runStats struct {
-	measuring          bool
-	windowStart        int64
-	flitsDelivered     int64
+	// measuring is set while the measurement window is open; deliveries
+	// then feed the latency statistics.
+	measuring   bool
+	windowStart int64
+	// deliveredAtStart and generatedAtStart are flitsDeliveredEver and
+	// flitsGenerated when the window opened.
+	deliveredAtStart   int64
+	generatedAtStart   int64
 	packetsDelivered   int64
 	packetsGenerated   int64
 	flitsGenerated     int64
-	flitsGenMeasure    int64
 	sumLatency         float64 // cycles, generation -> tail delivery
 	sumNetLatency      float64 // cycles, injection -> tail delivery
 	sumHops            float64
@@ -263,6 +303,8 @@ func New(cfg Config) (*Engine, error) {
 	ndim2 := 2 * t.NumDims()
 	vport := ndim2*vcs + 1
 	n := t.Nodes()
+	depth := c.effectiveDepth()
+	rcap := runCapacity(depth, c.minLength())
 	e := &Engine{
 		cfg:            c,
 		topo:           t,
@@ -271,11 +313,15 @@ func New(cfg Config) (*Engine, error) {
 		vcs:            vcs,
 		vport:          vport,
 		nphys:          ndim2 + 1,
-		depth:          c.effectiveDepth(),
-		inbufs:         make([]inbuf, n*vport),
+		depth:          depth,
+		worms:          vcs == 1 && depth == 1 && !c.StrictAdvance && !c.holdsWholePacket(),
+		runs:           make([]run, n*vport*rcap),
+		rcap:           rcap,
+		bq:             make([]bufq, n*vport),
+		meta:           make([]bufMeta, n*vport),
 		busyBy:         make([]int32, n*vport),
 		linkUsed:       make([]bool, n*(ndim2+1)),
-		linkFlits:      make([]int64, n*(ndim2+1)),
+		chanFlits:      make([]int64, n*(ndim2+1)),
 		outDest:        make([]int32, n*vport),
 		upOut:          make([]int32, n*vport),
 		physOf:         make([]int32, n*vport),
@@ -303,9 +349,9 @@ func New(cfg Config) (*Engine, error) {
 		// one arena with room for every virtual direction per buffer
 		// keeps those fills allocation-free.
 		arena := make([]routing.Candidate, n*vport*ndim2*vcs)
-		for i := range e.inbufs {
+		for i := range e.meta {
 			off := i * ndim2 * vcs
-			e.inbufs[i].own = arena[off : off : off+ndim2*vcs]
+			e.meta[i].own = arena[off : off : off+ndim2*vcs]
 		}
 	}
 	if c.StrictAdvance {
@@ -318,26 +364,13 @@ func New(cfg Config) (*Engine, error) {
 		e.lenTotal += w
 		e.lenCum[i] = e.lenTotal
 	}
-	if slots := n * vport * e.depth; slots <= flitArenaMaxFlits {
-		// One arena backs every input buffer: each buffer gets a
-		// zero-length slice with capacity depth, and since hasSpace
-		// bounds every append by depth, no buffer ever escapes its
-		// segment. This removes the per-buffer lazy grow allocations.
-		arena := make([]flit, slots)
-		for i := range e.inbufs {
-			off := i * e.depth
-			e.inbufs[i].q = arena[off : off : off+e.depth]
-		}
-	}
 	for i := range e.busyBy {
 		e.busyBy[i] = -1
 		e.outDest[i] = -1
 		e.upOut[i] = -1
 		e.physOf[i] = e.physIndex(int32(i))
-		b := &e.inbufs[i]
-		b.allocOut = -1
-		b.port = int32(i % vport)
-		b.candPkt = -1
+		e.bq[i].out = -1
+		e.meta[i].candPkt = -1
 	}
 	for v := 0; v < n; v++ {
 		for di := 0; di < ndim2; di++ {
@@ -389,6 +422,20 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// runCapacity bounds the runs a buffer of depth flits can hold when no
+// packet is shorter than minLen flits: every run but the front and the
+// back one is a whole packet, so runs r satisfy (r-2)*minLen + 2 <=
+// depth. Whole-packet buffers thus keep a few runs, not a slot per flit.
+func runCapacity(depth, minLen int) int {
+	if depth <= 2 || minLen <= 1 {
+		return depth
+	}
+	if r := (depth-2)/minLen + 2; r < depth {
+		return r
+	}
+	return depth
+}
+
 // injectionIn returns the global input index of router v's injection
 // channel buffer; the same port index is the ejection output.
 func (e *Engine) injectionIn(v topology.NodeID) int32 { return int32(int(v)*e.vport + e.vport - 1) }
@@ -396,6 +443,9 @@ func (e *Engine) injectionIn(v topology.NodeID) int32 { return int32(int(v)*e.vp
 // ejectionOut returns the global output index of router v's ejection
 // channel.
 func (e *Engine) ejectionOut(v topology.NodeID) int32 { return e.injectionIn(v) }
+
+// isInjection reports whether input in is its router's injection buffer.
+func (e *Engine) isInjection(in int32) bool { return int(in)%e.vport == e.vport-1 }
 
 // physIndex maps a global virtual output index to its physical link slot
 // in linkUsed. New precomputes it into physOf; the hot path uses that.
@@ -406,6 +456,67 @@ func (e *Engine) physIndex(out int32) int32 {
 		return int32(r*e.nphys + e.nphys - 1) // ejection channel
 	}
 	return int32(r*e.nphys + p/e.vcs)
+}
+
+// runAt returns the i-th run of input buffer in, 0 being the front.
+func (e *Engine) runAt(in int32, i int32) *run {
+	j := e.bq[in].head + i
+	if int(j) >= e.rcap {
+		j -= int32(e.rcap)
+	}
+	return &e.runs[int(in)*e.rcap+int(j)]
+}
+
+// pushFlit appends flit idx of packet p to input buffer in, extending
+// the back run when it ends with flit idx-1.
+func (e *Engine) pushFlit(in int32, p *packet, idx int32) {
+	q := &e.bq[in]
+	seq := idx - p.shift
+	q.flits++
+	if q.runs > 0 {
+		if r := e.runAt(in, q.runs-1); r.p == p && r.seq+r.n == seq {
+			r.n++
+			return
+		}
+	}
+	q.runs++
+	*e.runAt(in, q.runs-1) = run{p: p, n: 1, seq: seq}
+}
+
+// popFlit removes the front flit of input buffer in, advancing the
+// ring past an emptied run; an emptied buffer stops flowing.
+func (e *Engine) popFlit(in int32) {
+	q := &e.bq[in]
+	r := &e.runs[int(in)*e.rcap+int(q.head)]
+	if q.flits--; q.flits == 0 {
+		e.flowing.clear(in)
+	}
+	r.seq++
+	if r.n--; r.n > 0 {
+		return
+	}
+	if q.head++; int(q.head) == e.rcap {
+		q.head = 0
+	}
+	q.runs--
+}
+
+// frontPkt returns the packet of input buffer in's front flit; the
+// buffer must be nonempty.
+func (e *Engine) frontPkt(in int32) *packet {
+	return e.runs[int(in)*e.rcap+int(e.bq[in].head)].p
+}
+
+// frontFlit returns the index within its packet of input buffer in's
+// front flit; the buffer must be nonempty.
+func (e *Engine) frontFlit(in int32) int32 {
+	r := &e.runs[int(in)*e.rcap+int(e.bq[in].head)]
+	return r.seq + r.p.shift
+}
+
+// headerAt reports whether input buffer in's front flit is a header.
+func (e *Engine) headerAt(in int32) bool {
+	return e.bq[in].flits > 0 && e.frontFlit(in) == 0
 }
 
 // newPacket pops a recycled packet from the freelist, or allocates a
@@ -466,9 +577,6 @@ func (e *Engine) generate() {
 			e.queues[v].push(p)
 			e.stats.packetsGenerated++
 			e.stats.flitsGenerated += int64(p.length)
-			if e.stats.measuring {
-				e.stats.flitsGenMeasure += int64(p.length)
-			}
 			e.inFlight++
 		}
 	}
@@ -530,11 +638,11 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 	nw := 0
 	keep := false
 	for p := 0; p < e.vport; p++ {
-		b := &e.inbufs[base+p]
-		if b.allocOut >= 0 || len(b.q) == 0 || !b.q[0].head {
+		in := int32(base + p)
+		if e.bq[in].out >= 0 || !e.headerAt(in) {
 			continue
 		}
-		if e.cycle-b.headArrival > e.cfg.RouterDelay {
+		if e.cycle-e.meta[in].headArrival > e.cfg.RouterDelay {
 			e.waiting[nw] = int32(base + p)
 			nw++
 		} else {
@@ -552,9 +660,9 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 		// tie-break. Inline to keep the hot path allocation-free.
 		for i := 1; i < nw; i++ {
 			x := w[i]
-			key := e.inbufs[x].headArrival
+			key := e.meta[x].headArrival
 			j := i
-			for j > 0 && e.inbufs[w[j-1]].headArrival > key {
+			for j > 0 && e.meta[w[j-1]].headArrival > key {
 				w[j] = w[j-1]
 				j--
 			}
@@ -567,13 +675,14 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 	}
 	blocked := 0
 	for _, in := range w {
-		b := &e.inbufs[in]
-		pkt := b.q[0].p
+		b := &e.meta[in]
+		pkt := e.frontPkt(in)
 		if pkt.dst == topology.NodeID(v) {
 			out := e.ejectionOut(topology.NodeID(v))
 			if e.busyBy[out] < 0 {
 				e.busyBy[out] = in
-				b.allocOut = out
+				e.bq[in].out = out
+				b.holder = pkt
 				e.flowing.set(in)
 				if e.m != nil {
 					e.m.Grants[v]++
@@ -591,7 +700,7 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 			continue
 		}
 		if b.candPkt != pkt.id || b.candEpoch != epoch {
-			e.fillCandCache(v, b, pkt, epoch)
+			e.fillCandCache(v, in, pkt, epoch)
 		}
 		// Keep only candidates whose virtual output channel is free;
 		// existence, virtual-channel validity and fault state were
@@ -637,7 +746,8 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 			c = pick[e.rng.Intn(len(pick))]
 		}
 		e.busyBy[c.Out] = in
-		b.allocOut = c.Out
+		e.bq[in].out = c.Out
+		b.holder = pkt
 		e.flowing.set(in)
 		if e.m != nil {
 			e.m.Grants[v]++
@@ -663,7 +773,7 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 }
 
 // fillCandCache refreshes the filtered routing candidate list for the
-// header of packet pkt waiting at the front of input buffer b of router
+// header of packet pkt waiting at the front of input buffer in of router
 // v. With a compiled route table this is a slice reference into the
 // table's arena; otherwise (scripted first-hop restrictions, relations
 // TableFor declines) the relation is evaluated directly and filtered
@@ -671,8 +781,9 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 // table is compiled with. Either way the list keeps every candidate
 // that exists, has a valid virtual channel, and is not faulty;
 // per-cycle allocation then only checks output busyness.
-func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32) {
-	injected := int(b.port) == e.vport-1
+func (e *Engine) fillCandCache(v int, in int32, pkt *packet, epoch int32) {
+	b := &e.meta[in]
+	injected := e.isInjection(in)
 	cur := topology.NodeID(v)
 	b.candPkt = pkt.id
 	b.candEpoch = epoch
@@ -683,8 +794,8 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32) {
 	inp := routing.VCInjected
 	if !injected {
 		inp = routing.VCInPort{
-			Dir: topology.DirectionFromIndex(int(b.port) / e.vcs),
-			VC:  int(b.port) % e.vcs,
+			Dir: topology.DirectionFromIndex(int(in) % e.vport / e.vcs),
+			VC:  int(in) % e.vport % e.vcs,
 		}
 	}
 	raw := e.eval.Raw(cur, pkt.dst, inp)
@@ -768,8 +879,8 @@ func (e *Engine) seedMoveWork() {
 // available at the start of the cycle counts.
 func (e *Engine) move() {
 	if e.cfg.StrictAdvance {
-		for i := range e.inbufs {
-			e.lenStart[i] = int32(len(e.inbufs[i].q))
+		for i := range e.bq {
+			e.lenStart[i] = e.bq[i].flits
 		}
 	}
 	// inWork is all-false here: the previous drain popped (and cleared)
@@ -786,7 +897,7 @@ func (e *Engine) move() {
 		in := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
 		e.inWork[in] = false
-		e.moveOne(in)
+		e.advance(in)
 	}
 }
 
@@ -799,36 +910,36 @@ func (e *Engine) tryInject(v topology.NodeID) {
 		return
 	}
 	in := e.injectionIn(v)
-	if e.injUsed[in] {
-		return
-	}
-	b := &e.inbufs[in]
-	if !e.hasSpace(in, b) {
+	if e.injUsed[in] || !e.hasSpace(in) {
 		return
 	}
 	p := q.front()
-	f := flit{p: p, head: p.flitsSent == 0, tail: p.flitsSent == p.length-1}
-	b.q = append(b.q, f)
+	head := p.flitsSent == 0
+	e.pushFlit(in, p, p.flitsSent)
 	p.flitsSent++
+	if e.worms {
+		p.rearAt = in
+	}
 	p.lastProgress = e.cycle
 	e.injUsed[in] = true
 	e.dirtyInj = append(e.dirtyInj, in)
 	e.flitsInjectedEver++
 	e.lastMove = e.cycle
-	if f.tail {
+	if int(p.flitsSent) == p.length {
 		q.pop()
 	}
 	if e.m != nil {
 		e.m.Occupancy[v]++
-		e.m.InjectedFlits++
 	}
-	if b.allocOut >= 0 {
+	// Under the worm-level move a flit joining an allocated buffer is
+	// a body flit: only worm fronts flow.
+	if e.bq[in].out >= 0 && !e.worms {
 		e.flowing.set(in)
 	}
-	if f.head {
-		b.headArrival = e.cycle
+	if head {
+		e.meta[in].headArrival = e.cycle
 		p.injectCycle = e.cycle
-		if len(b.q) == 1 {
+		if e.bq[in].flits == 1 {
 			e.pushAllocWork(int32(v))
 		}
 		if e.cfg.Observer != nil {
@@ -837,158 +948,208 @@ func (e *Engine) tryInject(v topology.NodeID) {
 	}
 }
 
-func (e *Engine) hasSpace(in int32, b *inbuf) bool {
+func (e *Engine) hasSpace(in int32) bool {
 	if e.cfg.StrictAdvance {
-		return int(e.lenStart[in]) < e.depth && len(b.q) < e.depth
+		return int(e.lenStart[in]) < e.depth && int(e.bq[in].flits) < e.depth
 	}
-	return len(b.q) < e.depth
+	return int(e.bq[in].flits) < e.depth
 }
 
-// readyToForward applies the switching technique's forwarding rule to
-// the front flit of a nonempty network input buffer: store-and-forward
-// holds a packet until its tail flit has arrived; wormhole and virtual
-// cut-through forward immediately. Injection buffers are exempt (the
-// source queue is the source node's packet store).
-func (e *Engine) readyToForward(b *inbuf) bool {
-	if !e.cfg.holdsWholePacket() || int(b.port) == e.vport-1 {
-		return true
-	}
-	front := b.q[0].p
-	for i := len(b.q) - 1; i >= 0; i-- {
-		if b.q[i].p == front {
-			return b.q[i].tail
-		}
-	}
-	return false
+// wholePacketAt applies store-and-forward's rule to input buffer in,
+// whose front run is fr: the packet may leave once its tail flit has
+// arrived — the front run ends with it, since a packet that may only
+// leave a buffer whole never spans more than two buffers and so never
+// meets itself in one. Injection buffers are exempt (the source queue
+// is the source node's packet store). Wormhole and virtual cut-through
+// forward at once.
+func (e *Engine) wholePacketAt(in int32, fr *run) bool {
+	return e.isInjection(in) || fr.seq+fr.p.shift+fr.n == int32(fr.p.length)
 }
 
-// moveOne attempts to advance the front flit of input buffer in: across
-// its allocated link into the downstream buffer, or into the destination
-// processor through the ejection channel.
-func (e *Engine) moveOne(in int32) {
-	b := &e.inbufs[in]
-	if len(b.q) == 0 || b.allocOut < 0 {
+// advance attempts to move the worm whose front flit sits in input
+// buffer in one step: across its allocated link into the downstream
+// buffer, or into the destination processor through the ejection
+// channel.
+//
+// A flit leaves the worm's rear: in itself when each buffer advances
+// on its own, the worm's rearmost buffer under the worm-level move.
+// There every buffer from the front back to the rear holds one flit of
+// the worm, so one step shifts each flit forward a buffer, and only the
+// front's destination, the rear and the packet change — the same state
+// the chained flit-by-flit cascade reaches, at a cost independent of
+// the worm's length.
+func (e *Engine) advance(in int32) {
+	out := e.bq[in].out
+	if out < 0 || e.bq[in].flits == 0 {
 		return
 	}
-	out := b.allocOut
 	phys := e.physOf[out]
 	if e.linkUsed[phys] {
 		return
 	}
-	if !e.readyToForward(b) {
+	fr := &e.runs[int(in)*e.rcap+int(e.bq[in].head)]
+	p := fr.p
+	if e.cfg.holdsWholePacket() && !e.wholePacketAt(in, fr) {
 		return
 	}
-	f := b.q[0]
 	dest := e.outDest[out]
-	if dest < 0 {
-		// Ejection: the destination processor consumes immediately.
-		e.useLink(phys)
-		if e.m != nil {
-			r := int(in) / e.vport
-			e.m.ChannelFlits[phys]++
-			e.m.RouterFlits[r]++
-			e.m.Occupancy[r]--
-			e.m.DeliveredFlits++
-		}
-		e.flitsDeliveredEver++
-		e.popFront(in, b)
-		f.p.flitsDelivered++
-		f.p.lastProgress = e.cycle
-		if f.tail {
-			// The tail passed: free the ejection channel (which wakes
-			// the router's allocation scan) and deliver the packet.
-			e.releaseCh(in, out)
-			e.deliver(f.p)
-		}
-		if e.stats.measuring {
-			e.stats.flitsDelivered++
-		}
-		e.cascade(in, b)
+	if dest >= 0 && !e.hasSpace(dest) {
 		return
 	}
-	db := &e.inbufs[dest]
-	if !e.hasSpace(dest, db) {
-		return
-	}
-	e.useLink(phys)
-	if e.m != nil {
-		r := int(in) / e.vport
-		e.m.ChannelFlits[phys]++
-		e.m.RouterFlits[r]++
-		e.m.Occupancy[r]--
-		e.m.Occupancy[int(dest)/e.vport]++
+	idx := fr.seq + p.shift
+	head, tail := idx == 0, idx == int32(p.length-1)
+	rear, rearOut := in, out
+	if e.worms {
+		rear = p.rearAt
+		rearOut = e.bq[rear].out
+		tail = e.frontFlit(rear) == int32(p.length-1)
 	}
 	if e.cfg.Observer != nil {
-		p := int(out) % e.vport
-		e.cfg.Observer.Forward(e.cycle, topology.Channel{
-			From: topology.NodeID(int(out) / e.vport),
-			Dir:  topology.DirectionFromIndex(p / e.vcs),
-		}, p%e.vcs, f.head, f.tail)
+		e.observeForward(in, rear, out, head, tail)
 	}
-	e.popFront(in, b)
-	db.q = append(db.q, f)
-	if db.allocOut >= 0 {
-		e.flowing.set(dest)
-	}
-	f.p.lastProgress = e.cycle
-	if f.head {
-		db.headArrival = e.cycle
-		f.p.hops++
-		if len(db.q) == 1 {
-			e.pushAllocWork(int32(int(dest) / e.vport))
-		}
-	}
-	if f.tail {
-		e.releaseCh(in, out)
-	}
-	e.cascade(in, b)
-}
-
-// useLink claims physical link slot phys for this cycle and counts the
-// flit it carries.
-func (e *Engine) useLink(phys int32) {
 	e.linkUsed[phys] = true
 	e.dirtyLinks = append(e.dirtyLinks, phys)
-	if e.stats.measuring {
-		e.linkFlits[phys]++
-	}
 	e.lastMove = e.cycle
+	p.lastProgress = e.cycle
+	if rear != in {
+		// Every buffer between the front and the rear now holds the
+		// flit that was behind it.
+		p.shift++
+	}
+	if dest < 0 {
+		// Ejection: the destination processor consumes immediately.
+		e.flitsDeliveredEver++
+		p.flitsDelivered++
+	} else {
+		e.pushFlit(dest, p, idx)
+		if e.bq[dest].out >= 0 {
+			e.flowing.set(dest)
+		}
+		if head {
+			p.hops++
+			e.meta[dest].headArrival = e.cycle
+			if e.bq[dest].flits == 1 {
+				e.pushAllocWork(int32(int(dest) / e.vport))
+			}
+			if e.worms {
+				e.flowing.clear(in) // the front moved on
+			}
+		}
+		if e.m != nil {
+			e.m.Occupancy[int(dest)/e.vport]++
+		}
+	}
+	if e.m != nil {
+		e.m.Occupancy[int(rear)/e.vport]--
+	}
+	e.popFlit(rear)
+	if e.worms {
+		p.rearAt = e.outDest[rearOut]
+	}
+	if tail {
+		// The tail passed: free the channel it crossed (which wakes the
+		// router's allocation scan), and deliver a consumed packet.
+		e.releaseCh(rear, rearOut, int32(p.length))
+		if dest < 0 && rear == in {
+			e.deliver(p)
+		}
+	}
+	e.cascade(rear)
 }
 
-// popFront removes the front flit of input buffer in; an emptied buffer
-// stops flowing.
-func (e *Engine) popFront(in int32, b *inbuf) {
-	copy(b.q, b.q[1:])
-	b.q = b.q[:len(b.q)-1]
-	if len(b.q) == 0 {
-		e.flowing.clear(in)
+// observeForward reports the flits advance is about to move as Forward
+// events: the front flit across out (unless it is ejected) and, under
+// the worm-level move, each body flit across the output of the buffer
+// it leaves, walking back from the front to the rear.
+func (e *Engine) observeForward(in, rear, out int32, head, tail bool) {
+	if e.outDest[out] >= 0 {
+		e.emitForward(out, head, tail && rear == in)
+	}
+	for x := in; x != rear; {
+		f := e.busyBy[e.upOut[x]]
+		e.emitForward(e.bq[f].out, false, tail && f == rear)
+		x = f
 	}
 }
 
-// releaseCh frees the virtual output channel held through input in after
-// the tail flit passed. The input stops flowing, and its router's
-// allocation scan wakes: the freed output may unblock a waiting header,
-// and a header queued behind the tail is now at the front.
-func (e *Engine) releaseCh(in, out int32) {
+func (e *Engine) emitForward(out int32, head, tail bool) {
+	p := int(out) % e.vport
+	e.cfg.Observer.Forward(e.cycle, topology.Channel{
+		From: topology.NodeID(int(out) / e.vport),
+		Dir:  topology.DirectionFromIndex(p / e.vcs),
+	}, p%e.vcs, head, tail)
+}
+
+// releaseCh frees the virtual output channel held through input in
+// once crossed flits of its worm have passed it — the whole packet
+// after its tail, fewer when recovery aborts the worm — and credits
+// them to the channel's flit count. The input stops flowing, and its
+// router's allocation scan wakes: the freed output may unblock a
+// waiting header, and a header queued behind the tail is now at the
+// front.
+func (e *Engine) releaseCh(in, out, crossed int32) {
+	e.credit(in, out, crossed)
 	e.busyBy[out] = -1
-	e.inbufs[in].allocOut = -1
+	e.bq[in].out = -1
+	e.meta[in].holder, e.meta[in].settled = nil, 0
 	e.flowing.clear(in)
 	e.pushAllocWork(int32(int(in) / e.vport))
 }
 
+// credit records that crossed flits of the worm holding output out
+// through input in have now crossed it in total.
+func (e *Engine) credit(in, out, crossed int32) {
+	m := &e.meta[in]
+	e.chanFlits[e.physOf[out]] += int64(crossed - m.settled)
+	m.settled = crossed
+}
+
+// settleHeld credits every held output with the flits its worm has
+// carried across it so far, so chanFlits is exact at this instant: the
+// worm's flits sent minus those still at or behind the holding buffer.
+// Walking back from the holder, a buffer feeding the worm holds the
+// worm's flits at its front, if any, up to the run with the tail.
+func (e *Engine) settleHeld() {
+	for u := range e.bq {
+		out := e.bq[u].out
+		if out < 0 {
+			continue
+		}
+		p := e.meta[u].holder
+		behind := int32(0)
+		for x := int32(u); ; {
+			if e.bq[x].flits > 0 && e.frontPkt(x) == p {
+				r := e.runAt(x, 0)
+				behind += r.n
+				if r.seq+p.shift+r.n == int32(p.length) {
+					break
+				}
+			}
+			up := e.upOut[x]
+			if up < 0 {
+				break
+			}
+			if x = e.busyBy[up]; x < 0 || e.meta[x].holder != p {
+				break
+			}
+		}
+		e.credit(int32(u), out, p.flitsSent-behind)
+	}
+}
+
 // cascade schedules the feeder of input buffer in, which may now have
 // space to receive a flit (chained advance).
-func (e *Engine) cascade(in int32, b *inbuf) {
+func (e *Engine) cascade(in int32) {
 	if e.cfg.StrictAdvance {
-		return
-	}
-	if int(b.port) == e.vport-1 {
-		// Injection buffer freed: the source queue may inject.
-		e.tryInject(topology.NodeID(int(in) / e.vport))
 		return
 	}
 	up := e.upOut[in]
 	if up < 0 {
+		// Of the buffers that hold flits, only injection buffers have
+		// no upstream link: the source queue may inject.
+		if e.isInjection(in) {
+			e.tryInject(topology.NodeID(int(in) / e.vport))
+		}
 		return
 	}
 	if feeder := e.busyBy[up]; feeder >= 0 {
@@ -1044,7 +1205,7 @@ func (e *Engine) backlogFlits() int64 {
 		q := &e.queues[i]
 		for j := 0; j < q.len(); j++ {
 			p := q.at(j)
-			total += int64(p.length - p.flitsSent)
+			total += int64(p.length - int(p.flitsSent))
 		}
 	}
 	return total
@@ -1058,7 +1219,7 @@ func (e *Engine) backlogFlits() int64 {
 func (e *Engine) hottestChannel(window int64) (float64, topology.Channel) {
 	var best int64 = -1
 	bestIdx := -1
-	for i, f := range e.linkFlits {
+	for i, f := range e.chanFlits {
 		if i%e.nphys == e.nphys-1 {
 			continue // ejection channel
 		}

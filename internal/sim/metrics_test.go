@@ -214,3 +214,85 @@ func TestScriptedUtilizationWindow(t *testing.T) {
 			stream.HottestChannel, got, stream.MaxChannelUtilization)
 	}
 }
+
+// TestChannelCountsMatchForwardEvents: the engine credits a worm's
+// flits to each channel in bulk — when its tail releases the channel,
+// or, for a worm still crossing, when the measurement window opens and
+// when the run ends. Those counts must equal a per-flit recount of
+// Forward events, over the whole run (the collector's ChannelFlits and
+// RouterFlits) and over the measurement window (the Result's hottest
+// channel), for runs that end with worms mid-flight, deep buffers,
+// several virtual channels and recovery aborts included.
+func TestChannelCountsMatchForwardEvents(t *testing.T) {
+	const warmup, measure = 700, 1300
+	for _, tc := range []struct {
+		name string
+		mk   func(*topology.Topology) Config
+	}{
+		{"worms", func(topo *topology.Topology) Config {
+			return Config{Algorithm: routing.NewWestFirst(topo), Pattern: traffic.NewMeshTranspose(topo), OfferedLoad: 2.5}
+		}},
+		{"depth-3", func(topo *topology.Topology) Config {
+			return Config{Algorithm: routing.NewWestFirst(topo), Pattern: traffic.NewUniform(topo), OfferedLoad: 3, BufferDepth: 3}
+		}},
+		{"double-y", func(topo *topology.Topology) Config {
+			return Config{VCAlgorithm: routing.NewDoubleY(topo), Pattern: traffic.NewUniform(topo), OfferedLoad: 3}
+		}},
+		{"recovery", func(topo *topology.Topology) Config {
+			return Config{Algorithm: routing.NewFullyAdaptive(topo), Pattern: traffic.NewUniform(topo), OfferedLoad: 4,
+				RecoveryThreshold: 40, RetryLimit: 3, RetryBackoff: 10}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := topology.NewMesh(8, 8)
+			nphys := 2*topo.NumDims() + 1
+			total := make([]int64, topo.Nodes()*nphys)
+			window := make([]int64, len(total))
+			cfg := tc.mk(topo)
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.Seed = warmup, measure, 3
+			cfg.Metrics = metrics.New(metrics.Config{})
+			cfg.Observer = ObserverFuncs{ForwardFn: func(cycle int64, ch topology.Channel, _ int, _, _ bool) {
+				i := int(ch.From)*nphys + ch.Dir.Index()
+				total[i]++
+				if cycle >= warmup {
+					window[i]++
+				}
+			}}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PacketsInFlight == 0 {
+				t.Fatal("no worm in flight at the end; the settlement would go untested")
+			}
+			if tc.name == "recovery" && res.Recoveries == 0 {
+				t.Fatal("no recovery abort; the abort credit would go untested")
+			}
+			m := cfg.Metrics
+			routerNet := make([]int64, topo.Nodes())
+			best, bestIdx := int64(-1), -1
+			for i := range total {
+				if i%nphys == nphys-1 {
+					continue // ejection: no Forward event
+				}
+				if m.ChannelFlits[i] != total[i] {
+					t.Fatalf("channel slot %d: collector %d flits, Forward events %d", i, m.ChannelFlits[i], total[i])
+				}
+				routerNet[i/nphys] += total[i]
+				if window[i] > best {
+					best, bestIdx = window[i], i
+				}
+			}
+			for r, f := range m.RouterFlits {
+				if eject := m.ChannelFlits[r*nphys+nphys-1]; f != routerNet[r]+eject {
+					t.Fatalf("router %d: %d flits forwarded, want %d network + %d ejected", r, f, routerNet[r], eject)
+				}
+			}
+			want := topology.Channel{From: topology.NodeID(bestIdx / nphys), Dir: topology.DirectionFromIndex(bestIdx % nphys)}
+			if res.HottestChannel != want || res.MaxChannelUtilization != float64(best)/measure {
+				t.Fatalf("hottest channel %v at %v, Forward events in the window give %v at %v",
+					res.HottestChannel, res.MaxChannelUtilization, want, float64(best)/measure)
+			}
+		})
+	}
+}

@@ -8,6 +8,10 @@ import (
 // custom measurement. All callbacks run synchronously on the simulation
 // goroutine; implementations must not retain the arguments beyond the
 // call. A nil observer costs one branch per event.
+//
+// Within a cycle, events come in no specified order; the set of events
+// each cycle delivers is exact (one Forward per flit per channel
+// crossed, and so on) and reproducible for a given seed.
 type Observer interface {
 	// Inject fires when a packet's header flit enters its source router.
 	Inject(cycle int64, src, dst topology.NodeID, length int)
@@ -15,7 +19,10 @@ type Observer interface {
 	// the virtual channel (0 for single-channel relations) and eject
 	// marks the destination's ejection channel (dir is meaningless then).
 	Allocate(cycle int64, at topology.NodeID, dir topology.Direction, vc int, eject bool)
-	// Forward fires for every flit crossing a network channel.
+	// Forward fires for every flit crossing a network channel. Within a
+	// cycle these events come in no specified order (a worm moving as a
+	// unit reports its flits front to rear); the cycle's set of Forward
+	// events is exact.
 	Forward(cycle int64, ch topology.Channel, vc int, head, tail bool)
 	// Deliver fires when a packet's tail flit is consumed.
 	Deliver(cycle int64, src, dst topology.NodeID, latencyCycles int64, hops int)

@@ -65,12 +65,11 @@ func (e *Engine) recoverStep() {
 		return
 	}
 	victims := r.victims[:0]
-	for in := range e.inbufs {
-		b := &e.inbufs[in]
-		if b.allocOut >= 0 || len(b.q) == 0 || !b.q[0].head {
+	for in := range e.bq {
+		if e.bq[in].out >= 0 || !e.headerAt(int32(in)) {
 			continue
 		}
-		if e.cycle-b.q[0].p.lastProgress >= e.cfg.RecoveryThreshold {
+		if e.cycle-e.frontPkt(int32(in)).lastProgress >= e.cfg.RecoveryThreshold {
 			victims = append(victims, int32(in))
 		}
 	}
@@ -90,53 +89,48 @@ func (e *Engine) recoverStep() {
 // the packet is either scheduled for re-injection after its backoff or
 // dropped when the retry budget is exhausted.
 func (e *Engine) abortWorm(hin int32) {
-	hb := &e.inbufs[hin]
 	// Revalidate against the snapshot: an earlier abort this scan cannot
 	// have granted this header an output (allocation only runs later in
 	// the cycle), but defensive staleness checks are cheap.
-	if len(hb.q) == 0 || !hb.q[0].head || hb.allocOut >= 0 {
+	if !e.headerAt(hin) || e.bq[hin].out >= 0 {
 		return
 	}
-	p := hb.q[0].p
+	p := e.frontPkt(hin)
 	if e.cycle-p.lastProgress < e.cfg.RecoveryThreshold {
 		return
 	}
-	inNet := p.flitsSent - p.flitsDelivered // header worms have flitsDelivered == 0
+	inNet := int(p.flitsSent) - p.flitsDelivered // header worms have flitsDelivered == 0
 	drained := 0
 	released := 0
 	cur := hin
 	// Walk the buffer chain from the header back toward the source. The
-	// worm's flits are contiguous at the front of each buffer on the
-	// chain (FIFO buffers, and the header is the oldest flit), so each
-	// step drains a prefix, then follows the upstream output that feeds
-	// cur — releasing it — to the buffer holding it.
-	for hop := 0; hop <= len(e.inbufs); hop++ {
-		cb := &e.inbufs[cur]
-		k := 0
-		for k < len(cb.q) && cb.q[k].p == p {
-			k++
-		}
-		if k > 0 {
-			rest := len(cb.q) - k
-			copy(cb.q, cb.q[k:])
-			cb.q = cb.q[:rest]
+	// worm's flits are at the front of each buffer on the chain (FIFO
+	// buffers, and the header is the oldest flit), so each step drains
+	// them, then follows the upstream output that feeds cur —
+	// releasing it, credited with the flits drained downstream of it —
+	// to the buffer holding it.
+	for hop := 0; hop <= len(e.bq); hop++ {
+		if e.bq[cur].flits > 0 && e.frontPkt(cur) == p {
+			k := 0
+			for e.bq[cur].flits > 0 && e.frontPkt(cur) == p {
+				e.popFlit(cur)
+				k++
+			}
 			drained += k
 			router := int(cur) / e.vport
 			if e.m != nil {
 				e.m.Occupancy[router] -= int32(k)
 			}
-			if rest == 0 {
-				e.flowing.clear(cur)
-			} else if cb.q[0].head {
+			if e.headerAt(cur) {
 				// The drain exposed a queued header: wake allocation.
 				// Its headArrival was recorded on arrival and stands.
 				e.pushAllocWork(int32(router))
 			}
 		}
-		if int(cb.port) == e.vport-1 {
+		if e.isInjection(cur) {
 			break // injection buffer: the chain ends at the source
 		}
-		if drained == inNet && p.flitsSent == p.length {
+		if drained == inNet && int(p.flitsSent) == p.length {
 			break // tail drained and fully injected: nothing upstream
 		}
 		up := e.upOut[cur]
@@ -147,14 +141,11 @@ func (e *Engine) abortWorm(hin int32) {
 		if feeder < 0 {
 			break // channel free: the worm's tail already crossed it
 		}
-		e.busyBy[up] = -1
-		e.inbufs[feeder].allocOut = -1
-		e.flowing.clear(feeder)
-		e.pushAllocWork(int32(int(up) / e.vport))
+		e.releaseCh(feeder, up, int32(drained))
 		released++
 		cur = feeder
 	}
-	if p.flitsSent < p.length {
+	if int(p.flitsSent) < p.length {
 		// Partially injected: the un-sent remainder still heads the
 		// source queue; remove it so the retry starts from scratch.
 		q := &e.queues[p.src]
@@ -182,6 +173,7 @@ func (e *Engine) abortWorm(hin int32) {
 	p.flitsSent = 0
 	p.flitsDelivered = 0
 	p.hops = 0
+	p.shift = 0
 	p.retries++
 	dropped := e.cfg.RetryLimit < 0 || int(p.retries) > e.cfg.RetryLimit
 	if e.recObs != nil {

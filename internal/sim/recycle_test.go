@@ -10,7 +10,7 @@ import (
 )
 
 // livePackets walks every container that can hold a packet reference —
-// the per-source queue rings and every input buffer's flits — and
+// the per-source queue rings and every input buffer's runs — and
 // returns the id->pointer map of in-flight packets. Two distinct
 // pointers sharing an id, or one pointer carrying two ids, is aliasing:
 // a recycled packet handed out while still referenced.
@@ -37,9 +37,9 @@ func livePackets(t *testing.T, e *Engine) map[int64]*packet {
 			note(q.at(j), "source queue")
 		}
 	}
-	for i := range e.inbufs {
-		for _, f := range e.inbufs[i].q {
-			note(f.p, "input buffer")
+	for i := range e.bq {
+		for r := int32(0); r < e.bq[i].runs; r++ {
+			note(e.runAt(int32(i), r).p, "input buffer")
 		}
 	}
 	return live

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"time"
 
+	"turnmodel/internal/metrics"
 	"turnmodel/internal/topology"
 )
 
@@ -135,9 +137,37 @@ func (e *Engine) step() {
 	if e.cfg.RecoveryThreshold > 0 {
 		e.recoverStep()
 	}
-	e.generate()
-	e.allocate()
-	// Reset only the link and injection usage flags set last cycle.
+	if e.m != nil && e.cycle%metrics.PhaseSampleEvery == 0 {
+		// A sampled cycle: time each phase for the collector.
+		t0 := time.Now()
+		e.generate()
+		t1 := time.Now()
+		e.allocate()
+		t2 := time.Now()
+		e.resetLinks()
+		e.moveOrHook()
+		e.m.AddPhaseSample(t1.Sub(t0), t2.Sub(t1), time.Since(t2))
+	} else {
+		e.generate()
+		e.allocate()
+		e.resetLinks()
+		e.moveOrHook()
+	}
+	if e.m != nil {
+		e.m.EndCycle()
+		// The backlog scan is deferred behind SampleDue so it runs only
+		// at the sampling cadence, not every cycle.
+		if e.m.SampleDue(e.cycle) {
+			e.m.DeliveredFlits = e.flitsDeliveredEver
+			e.m.InjectedFlits = e.flitsInjectedEver
+			e.m.TakeSample(e.cycle, int64(e.inFlight), e.backlogFlits())
+		}
+	}
+}
+
+// resetLinks clears the link and injection usage flags set last cycle,
+// touching only those.
+func (e *Engine) resetLinks() {
 	for _, i := range e.dirtyLinks {
 		e.linkUsed[i] = false
 	}
@@ -146,15 +176,57 @@ func (e *Engine) step() {
 		e.injUsed[i] = false
 	}
 	e.dirtyInj = e.dirtyInj[:0]
-	e.move()
-	if e.m != nil {
-		e.m.EndCycle()
-		// The backlog scan is deferred behind SampleDue so it runs only
-		// at the sampling cadence, not every cycle.
-		if e.m.SampleDue(e.cycle) {
-			e.m.TakeSample(e.cycle, int64(e.inFlight), e.backlogFlits())
-		}
+}
+
+func (e *Engine) moveOrHook() {
+	if e.moveHook != nil {
+		e.moveHook()
+		return
 	}
+	e.move()
+}
+
+// beginWindow opens the measurement window: deliveries from now on
+// feed the latency statistics, and the flit counters are rebased so
+// that the window's counts are differences from here. The per-link
+// counts carried so far are handed to the metrics collector.
+func (e *Engine) beginWindow() {
+	s := &e.stats
+	s.measuring = true
+	s.windowStart = e.cycle
+	s.backlogStartFlits = e.backlogFlits()
+	s.backlogStartValid = true
+	s.deliveredAtStart = e.flitsDeliveredEver
+	s.generatedAtStart = s.flitsGenerated
+	e.settleHeld()
+	if e.m != nil {
+		e.flushChannels()
+	}
+	clear(e.chanFlits)
+}
+
+// flushChannels adds the per-link counts to the metrics collector.
+func (e *Engine) flushChannels() {
+	for i, f := range e.chanFlits {
+		e.m.ChannelFlits[i] += f
+	}
+}
+
+// finishMetrics settles the collector's flit totals at the end of a
+// run: per-link counts, the per-router forwarding counts they sum to,
+// and the network-wide injected and delivered flits.
+func (e *Engine) finishMetrics() {
+	m := e.m
+	e.flushChannels()
+	for r := range m.RouterFlits {
+		var sum int64
+		for _, f := range m.ChannelFlits[r*e.nphys : (r+1)*e.nphys] {
+			sum += f
+		}
+		m.RouterFlits[r] = sum
+	}
+	m.DeliveredFlits = e.flitsDeliveredEver
+	m.InjectedFlits = e.flitsInjectedEver
 }
 
 // Run executes the configured simulation to completion and returns its
@@ -183,7 +255,7 @@ func (e *Engine) run() Result {
 	scripted := e.script != nil
 	if scripted {
 		// Scripted runs measure everything from cycle zero.
-		e.stats.measuring = true
+		e.beginWindow()
 	}
 	for {
 		if e.cfg.Stop != nil && e.cycle&1023 == 0 && e.cfg.Stop() {
@@ -200,10 +272,7 @@ func (e *Engine) run() Result {
 				break
 			}
 			if e.cycle == e.cfg.WarmupCycles {
-				e.stats.measuring = true
-				e.stats.windowStart = e.cycle
-				e.stats.backlogStartFlits = e.backlogFlits()
-				e.stats.backlogStartValid = true
+				e.beginWindow()
 			}
 		}
 
@@ -222,6 +291,19 @@ func (e *Engine) run() Result {
 
 	res.Cycles = e.cycle
 	s := &e.stats
+	e.settleHeld()
+	if e.m != nil {
+		e.finishMetrics()
+	}
+	// Window counts are differences from the window's opening; a run
+	// that ended before it opened measured nothing.
+	var flitsDelivered, genFlits int64
+	if s.measuring {
+		flitsDelivered = e.flitsDeliveredEver - s.deliveredAtStart
+		genFlits = s.flitsGenerated - s.generatedAtStart
+	} else {
+		clear(e.chanFlits)
+	}
 	if e.cfg.CheckInvariants {
 		e.checkInvariantsNow("end of run")
 	}
@@ -248,7 +330,7 @@ func (e *Engine) run() Result {
 			res.LatencyP99 = s.latencies.Percentile(0.99) / CyclesPerMicrosecond
 		}
 		if e.cycle > 0 {
-			res.Throughput = float64(s.flitsDelivered) / (float64(e.cycle) / CyclesPerMicrosecond)
+			res.Throughput = float64(flitsDelivered) / (float64(e.cycle) / CyclesPerMicrosecond)
 			// Scripted runs measure from cycle zero, so the whole run is
 			// the utilization window.
 			res.MaxChannelUtilization, res.HottestChannel = e.hottestChannel(e.cycle)
@@ -266,7 +348,7 @@ func (e *Engine) run() Result {
 		}
 	}
 	measureUs := float64(window) / CyclesPerMicrosecond
-	res.Throughput = float64(s.flitsDelivered) / measureUs
+	res.Throughput = float64(flitsDelivered) / measureUs
 	if s.packetsDelivered > 0 {
 		res.AvgLatency = s.sumLatency / float64(s.packetsDelivered) / CyclesPerMicrosecond
 		res.AvgNetLatency = s.sumNetLatency / float64(s.packetsDelivered) / CyclesPerMicrosecond
@@ -280,7 +362,6 @@ func (e *Engine) run() Result {
 	res.PacketsGenerated = s.packetsGenerated
 	res.MaxChannelUtilization, res.HottestChannel = e.hottestChannel(window)
 	res.BacklogGrowth = e.backlogFlits() - s.backlogStartFlits
-	genFlits := s.flitsGenMeasure
 	res.Sustainable = !res.Deadlocked && float64(res.BacklogGrowth) <= 0.05*float64(genFlits)+float64(2*e.topo.Nodes())
 	return res
 }

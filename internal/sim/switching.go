@@ -58,6 +58,19 @@ func (c *Config) maxLength() int {
 	return m
 }
 
+// minLength returns the shortest packet length the run can see: the
+// shortest configured length, or of a scripted message.
+func (c *Config) minLength() int {
+	m := c.maxLength()
+	for _, l := range c.Lengths {
+		m = min(m, l)
+	}
+	for _, s := range c.Script {
+		m = min(m, s.Length)
+	}
+	return max(m, 1)
+}
+
 // effectiveDepth returns the input buffer capacity implied by the
 // switching technique.
 func (c *Config) effectiveDepth() int {

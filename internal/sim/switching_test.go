@@ -155,9 +155,9 @@ func TestWormholeBlockingSpansRouters(t *testing.T) {
 		e.cycle++
 	}
 	occupied := 0
-	for i := range e.inbufs {
-		for _, f := range e.inbufs[i].q {
-			if f.p.src == at(0, 0) {
+	for i := range e.bq {
+		for r := int32(0); r < e.bq[i].runs; r++ {
+			if e.runAt(int32(i), r).p.src == at(0, 0) {
 				occupied++
 				break
 			}

@@ -325,7 +325,9 @@ func NewDoubleY(t *Topology) VCAlgorithm { return routing.NewDoubleY(t) }
 // Simulation observation.
 
 // SimObserver receives simulation events for debugging and custom
-// measurement; see ObserverFuncs for a field-wise adapter.
+// measurement; see ObserverFuncs for a field-wise adapter. Within a
+// cycle, events come in no specified order; the set of events each
+// cycle delivers is exact.
 type SimObserver = sim.Observer
 
 // ObserverFuncs adapts individual callbacks to SimObserver.
